@@ -1,0 +1,204 @@
+"""Golden CLI corpus: the exact outcome of `main(argv)` for a fixed set of calls.
+
+Each case writes the input files below into a fresh directory, runs the CLI
+in process and compares exit code, stdout, stderr and the `out.csv` file
+(`check --table`, `export --out`) with `tests/data/cli_golden/<case>.txt`,
+byte for byte.  The directory path is written as `{dir}` in the golden text.
+After a deliberate change of output, rewrite the golden files with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from prodfn.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+
+def _rates(b1, b2, b3, levels=(1, 1, 1)):
+    return "".join(
+        f"var {v} = {x}; d{v}/dt = {b} * {v}; role {role} {v};\n"
+        for v, x, b, role in zip("LKY", levels, (b1, b2, b3), ("labor", "capital", "output"))
+    )
+
+
+INPUTS = {
+    # models
+    "m.txt": _rates(0.02549605, 0.06472564, 0.03592651, (106.65, 100.70, 106.08)),
+    "even.txt": _rates(0.5, 0.5, 0.25),
+    "near.txt": _rates(0.02, 0.0201, 0.03),
+    "outside.txt": _rates(0.02, 0.06, 0.08),
+    "zero.txt": _rates(0, 0.06, 0.03),
+    "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
+    "fit.json": (
+        '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
+        '"ln_L0": 4.66953290, "ln_K0": 4.61213588, "ln_Y0": 4.66415363, '
+        '"base_year": 1899}, "diagnostics": {}}\n'
+    ),
+    "bare.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
+    "badmodel.json": '{"model": {"b1": 0.1}}\n',
+    "notjson.txt": "{not json\n",
+    # functions
+    "pl_labor.json": (
+        '{"type": "power-law", "input": "labor", '
+        '"coeff": 0.14724203118966941, "exponent": 1.4091010176086101}\n'
+    ),
+    "pl_capital.json": (
+        '{"type": "power-law", "input": "capital", '
+        '"coeff": 8.2004027663784704, "exponent": 0.55505839725957129}\n'
+    ),
+    "pl_labor_2x.json": (
+        '{"type": "power-law", "input": "labor", '
+        '"coeff": 0.29448406237933883, "exponent": 1.4091010176086101}\n'
+    ),
+    "pl_capital_coeff1.json": (
+        '{"type": "power-law", "input": "capital", "coeff": 1, "exponent": 0.55505839725957129}\n'
+    ),
+    "cd.json": (
+        '{"type": "cobb-douglas", "A": 1.0099537136356771, '
+        '"alpha": 0.73411753729773876, "beta": 0.26588246270226118}\n'
+    ),
+    "cd_perturbed.json": '{"type": "cobb-douglas", "A": 1.0099, "alpha": 0.734, "beta": 0.276}\n',
+    "cd_strings.json": (
+        '{"type": "cobb-douglas", "A": "1.0099537136356771", '
+        '"alpha": "0.73411753729773876", "beta": "0.26588246270226118"}\n'
+    ),
+    "gces.json": (
+        '{"type": "generalized-ces", "cK": 2.0044789522659107e+25, '
+        '"cL": 1.8500712125395469e-24, "alpha": 0.73411753729773876, '
+        '"eK": 15.449827919816629, "eL": 39.221761802318397, "outer": 0.035926510000000002}\n'
+    ),
+    "ces.json": '{"type": "ces", "A": 1, "alpha": 0.4, "p": 2, "v": 0.5, "sigma": -1}\n',
+    "report_cd.json": (
+        '{"family": "cobb-douglas", "alpha": 0.7341175372977388, "function": '
+        '{"type": "cobb-douglas", "A": 1.009953713635677, "alpha": 0.7341175372977388, '
+        '"beta": 0.2658824627022612}, "constancy": {"horizon": 24, "step": 0.25, '
+        '"max_relative_deviation": 1.0442835999700783e-15}, "crs": {"alpha": '
+        '0.7341175372977388, "beta": 0.2658824627022613}, "warnings": [], "model": '
+        '{"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, "ln_L0": 4.669552444917359, '
+        '"ln_K0": 4.612145799724517, "ln_Y0": 4.664193526437552, "base_year": 0}}\n'
+    ),
+    "report_fundamental.json": '{"family": "fundamental", "alpha": null, "functions": []}\n',
+    "unknown.json": '{"type": "mystery"}\n',
+    "missing.json": '{"type": "cobb-douglas", "A": 1.0, "alpha": 0.5}\n',
+    "bad_factor.json": '{"type": "power-law", "input": "land", "coeff": 1, "exponent": 1}\n',
+    "list.json": "[1, 2]\n",
+    # series
+    "data.csv": (
+        "year,L,K,Y\n1899,100,100,100\n1900,101,107,105\n1901,105,114,110\n"
+        "1902,110,122,115\n1903,107,131,121\n1904,113,138,122\n"
+    ),
+    "zero.csv": "year,L,K,Y\n1899,100,0,100\n1900,1,1,1\n",
+    "two.csv": "year,L,K\n1899,106.65,100.7\n1900,109.1,107.43\n1901,111.9,114.62\n",
+}
+
+FIT = "fit --year-col year --labor-col L --capital-col K --output-col Y --csv {dir}/"
+TABLE = " --table {dir}/out.csv"
+
+CASES = [
+    ("fit", FIT + "data.csv"),
+    ("fit_normalize", FIT + "data.csv --normalize"),
+    ("fit_zero_value", FIT + "zero.csv"),
+    ("fit_missing_file", FIT + "nope.csv"),
+    ("derive_spec_fundamental", "derive --from-spec {dir}/m.txt --family fundamental"),
+    ("derive_spec_cobb_douglas", "derive --from-spec {dir}/m.txt --family cobb-douglas"),
+    ("derive_spec_ces_like", "derive --from-spec {dir}/m.txt --family ces-like"),
+    ("derive_spec_ces_gate", "derive --from-spec {dir}/m.txt --family ces"),
+    ("derive_even_ces", "derive --from-spec {dir}/even.txt --family ces --alpha 0.4"),
+    ("derive_near_ces_tol", "derive --from-spec {dir}/near.txt --family ces --alpha 0.5 --tol 0.01"),
+    ("derive_outside_cobb_douglas", "derive --from-spec {dir}/outside.txt --family cobb-douglas"),
+    ("derive_zero_fundamental", "derive --from-spec {dir}/zero.txt --family fundamental"),
+    ("derive_bad_alpha", "derive --from-spec {dir}/m.txt --family cobb-douglas --alpha 1.5"),
+    ("derive_bad_spec", "derive --from-spec {dir}/bad.mdl --family cobb-douglas"),
+    ("derive_spec_missing", "derive --from-spec {dir}/nope.txt --family cobb-douglas"),
+    ("derive_fit_fundamental", "derive --from-fit {dir}/fit.json --family fundamental"),
+    (
+        "derive_fit_cobb_douglas_horizon",
+        "derive --from-fit {dir}/fit.json --family cobb-douglas --alpha 0.3 --horizon 12",
+    ),
+    ("derive_bare_ces_like", "derive --from-fit {dir}/bare.json --family ces-like"),
+    ("derive_fit_not_json", "derive --from-fit {dir}/notjson.txt --family cobb-douglas"),
+    ("derive_fit_bad_model", "derive --from-fit {dir}/badmodel.json --family cobb-douglas"),
+    ("check_power_law_labor", "check --model {dir}/m.txt --function {dir}/pl_labor.json --grid 0:24:0.5" + TABLE),
+    ("check_power_law_capital", "check --model {dir}/m.txt --function {dir}/pl_capital.json --grid 0:24:1" + TABLE),
+    ("check_power_law_coeff_doubled", "check --model {dir}/m.txt --function {dir}/pl_labor_2x.json --grid 0:24:1" + TABLE),
+    ("check_power_law_coeff_one", "check --model {dir}/m.txt --function {dir}/pl_capital_coeff1.json --grid 0:24:1"),
+    ("check_cobb_douglas", "check --model {dir}/m.txt --function {dir}/cd.json --grid 0:24:0.5" + TABLE),
+    ("check_cobb_douglas_perturbed", "check --model {dir}/m.txt --function {dir}/cd_perturbed.json --grid 0:24:1" + TABLE),
+    ("check_numeric_strings", "check --model {dir}/m.txt --function {dir}/cd_strings.json --grid 0:24:1"),
+    ("check_generalized_ces", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:24:0.5" + TABLE),
+    ("check_generalized_ces_single_point", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:0:1"),
+    ("check_ces", "check --model {dir}/even.txt --function {dir}/ces.json --grid 0:10:0.5 --tol 1e-12" + TABLE),
+    ("check_derive_report", "check --model {dir}/m.txt --function {dir}/report_cd.json --grid 0:24:2"),
+    ("check_fit_model", "check --model {dir}/fit.json --function {dir}/cd.json --grid 0:24:4" + TABLE),
+    ("check_unknown_type", "check --model {dir}/m.txt --function {dir}/unknown.json --grid 0:24:1"),
+    ("check_missing_key", "check --model {dir}/m.txt --function {dir}/missing.json --grid 0:24:1"),
+    ("check_bad_factor", "check --model {dir}/m.txt --function {dir}/bad_factor.json --grid 0:24:1"),
+    ("check_function_not_object", "check --model {dir}/m.txt --function {dir}/list.json --grid 0:24:1"),
+    ("check_several_functions", "check --model {dir}/m.txt --function {dir}/report_fundamental.json --grid 0:24:1"),
+    ("check_function_not_json", "check --model {dir}/m.txt --function {dir}/notjson.txt --grid 0:24:1"),
+    ("check_bad_model_text", "check --model {dir}/bad.mdl --function {dir}/cd.json --grid 0:24:1"),
+    ("check_bad_model_json", "check --model {dir}/badmodel.json --function {dir}/cd.json --grid 0:24:1"),
+    ("simulate_spec", "simulate --model {dir}/m.txt --grid 0:3:1"),
+    ("simulate_fit", "simulate --model {dir}/fit.json --grid 0:24:6"),
+    ("simulate_bare", "simulate --model {dir}/bare.json --grid 0:2:0.5"),
+    ("simulate_overflow", "simulate --model {dir}/m.txt --grid 0:100000:100000"),
+    ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
+    ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
+]
+
+
+def outcome(workdir: Path, argv: str) -> str:
+    """Run one case in `workdir` and render everything it produced as text."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    for name, text in INPUTS.items():
+        (workdir / name).write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    # warnings outside the CLI's own recording would reach stderr only
+    # when pytest does not capture them; keep the rendering independent of that
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([arg.format(dir=workdir) for arg in argv.split()])
+    parts = [
+        f"$ prodfn {argv}",
+        f"exit {code}",
+        "--- stdout",
+        out.getvalue(),
+        "--- stderr",
+        err.getvalue().replace(str(workdir), "{dir}"),
+    ]
+    table = workdir / "out.csv"
+    if table.exists():
+        parts += ["--- out.csv", table.read_bytes().decode("utf-8")]
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_golden(name, argv, tmp_path):
+    want = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    assert outcome(tmp_path, argv) == want
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(name for name, _ in CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES:
+            text = outcome(Path(tmp) / name, argv)
+            (GOLDEN / f"{name}.txt").write_bytes(text.encode("utf-8"))
+    sys.stdout.write(f"wrote {len(CASES)} golden files to {GOLDEN}\n")
