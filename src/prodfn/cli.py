@@ -16,6 +16,7 @@ for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -31,10 +32,10 @@ from .core import (
     DomainError,
     ExponentialModel,
     Factor,
+    FitDiagnostics,
     GeneralizedCES,
     PowerLaw,
     ProductionFunction,
-    evaluate,
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
@@ -42,6 +43,8 @@ from .ingest import CsvFormatError, load_series, normalize_base100, write_series
 from .invariants import (
     DegenerateRateError,
     NotReducibleError,
+    _b3_between,
+    _deviation,
     ces_like_member,
     ces_reduction,
     cobb_douglas_member,
@@ -112,65 +115,61 @@ def emit_json(obj, indent: int = 0) -> str:
 # wire formats
 
 
+_PARSE = {"input": Factor, "base_year": int}  # every other field is a float
+
+
+def _wire(cls, tag=None, keys=None):
+    """(tag, JSON keys in emitted order, (name, parser, default) per field to read)."""
+    fields = dataclasses.fields(cls)  # once, at import: it is slow per call
+    read = tuple((f.name, _PARSE.get(f.name, float), f.default) for f in fields)
+    return tag, keys or tuple(f.name for f in fields), read
+
+
+# Input reads each type's own fields, so the derived CES sigma is emitted but ignored.
+_WIRE = {
+    PowerLaw: _wire(PowerLaw, "power-law", ("input", "coeff", "exponent")),
+    CobbDouglas: _wire(CobbDouglas, "cobb-douglas"),
+    GeneralizedCES: _wire(GeneralizedCES, "generalized-ces"),
+    CES: _wire(CES, "ces", ("A", "alpha", "p", "v", "sigma")),
+    ExponentialModel: _wire(ExponentialModel),
+    FitDiagnostics: _wire(FitDiagnostics),
+}
+_FUNCTION_TYPES = {tag: cls for cls, (tag, _, _) in _WIRE.items() if tag}
+
+
+def _to_dict(obj) -> dict:
+    out = {}
+    for key in _WIRE[type(obj)][1]:
+        value = getattr(obj, key)
+        out[key] = value.value if isinstance(value, Factor) else value
+    return out
+
+
+def _from_dict(cls, obj: dict, what: str):
+    try:
+        return cls(**{
+            name: parse(obj[name] if default is dataclasses.MISSING else obj.get(name, default))
+            for name, parse, default in _WIRE[cls][2]
+        })
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad {what} JSON: {exc}") from None
+
+
 def model_to_dict(model: ExponentialModel) -> dict:
-    return {
-        "b1": model.b1,
-        "b2": model.b2,
-        "b3": model.b3,
-        "ln_L0": model.ln_L0,
-        "ln_K0": model.ln_K0,
-        "ln_Y0": model.ln_Y0,
-        "base_year": model.base_year,
-    }
+    return _to_dict(model)
 
 
 def model_from_dict(obj: dict) -> ExponentialModel:
     if not isinstance(obj, dict):
         raise InputFormatError("model JSON must be an object")
-    try:
-        return ExponentialModel(
-            b1=float(obj["b1"]),
-            b2=float(obj["b2"]),
-            b3=float(obj["b3"]),
-            ln_L0=float(obj["ln_L0"]),
-            ln_K0=float(obj["ln_K0"]),
-            ln_Y0=float(obj["ln_Y0"]),
-            base_year=int(obj.get("base_year", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad model JSON: {exc}") from None
+    return _from_dict(ExponentialModel, obj, "model")
 
 
 def function_to_dict(fn: ProductionFunction) -> dict:
-    if isinstance(fn, PowerLaw):
-        return {
-            "type": "power-law",
-            "input": fn.input.value,
-            "coeff": fn.coeff,
-            "exponent": fn.exponent,
-        }
-    if isinstance(fn, CobbDouglas):
-        return {"type": "cobb-douglas", "A": fn.A, "alpha": fn.alpha, "beta": fn.beta}
-    if isinstance(fn, GeneralizedCES):
-        return {
-            "type": "generalized-ces",
-            "cK": fn.cK,
-            "cL": fn.cL,
-            "alpha": fn.alpha,
-            "eK": fn.eK,
-            "eL": fn.eL,
-            "outer": fn.outer,
-        }
-    if isinstance(fn, CES):
-        return {
-            "type": "ces",
-            "A": fn.A,
-            "alpha": fn.alpha,
-            "p": fn.p,
-            "v": fn.v,
-            "sigma": fn.sigma,
-        }
-    raise TypeError(f"not a production function: {fn!r}")
+    tag = _WIRE.get(type(fn), (None,))[0]
+    if tag is None:
+        raise TypeError(f"not a production function: {fn!r}")
+    return {"type": tag, **_to_dict(fn)}
 
 
 def function_from_dict(obj: dict) -> ProductionFunction:
@@ -184,40 +183,13 @@ def function_from_dict(obj: dict) -> ProductionFunction:
             "\"function\" object instead"
         )
     kind = obj.get("type")
-    try:
-        if kind == "power-law":
-            return PowerLaw(
-                coeff=float(obj["coeff"]),
-                exponent=float(obj["exponent"]),
-                input=Factor(obj["input"]),
-            )
-        if kind == "cobb-douglas":
-            return CobbDouglas(A=float(obj["A"]), alpha=float(obj["alpha"]), beta=float(obj["beta"]))
-        if kind == "generalized-ces":
-            return GeneralizedCES(
-                cK=float(obj["cK"]),
-                cL=float(obj["cL"]),
-                alpha=float(obj["alpha"]),
-                eK=float(obj["eK"]),
-                eL=float(obj["eL"]),
-                outer=float(obj["outer"]),
-            )
-        if kind == "ces":
-            # sigma, when present, is informational and recomputed from p
-            return CES(A=float(obj["A"]), alpha=float(obj["alpha"]), p=float(obj["p"]), v=float(obj["v"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad function JSON: {exc}") from None
-    raise InputFormatError(f"unknown function type {kind!r}")
+    if not isinstance(kind, str) or kind not in _FUNCTION_TYPES:
+        raise InputFormatError(f"unknown function type {kind!r}")
+    return _from_dict(_FUNCTION_TYPES[kind], obj, "function")
 
 
-def diagnostics_to_dict(diag) -> dict:
-    return {
-        "slope": diag.slope,
-        "intercept": diag.intercept,
-        "r_squared": diag.r_squared,
-        "residual_max_abs": diag.residual_max_abs,
-        "n_points": diag.n_points,
-    }
+def diagnostics_to_dict(diag: FitDiagnostics) -> dict:
+    return _to_dict(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +208,8 @@ def load_model_source(path: str, *, kind: str = "auto") -> ExponentialModel:
     """Load a model from a fit-report JSON file or a model text file.
 
     kind="auto" sniffs the content: valid JSON is treated as a fit report or
-    bare model object, anything else as model text.
+    bare model object, anything else as model text.  kind="fit-json" reads
+    only JSON and kind="text" only model text.
     """
     if kind == "fit-json" or kind == "auto":
         try:
@@ -279,43 +252,34 @@ def cmd_fit(args) -> int:
     )
     if args.normalize:
         series = [normalize_base100(s) for s in series]
-    model, (diag_l, diag_k, diag_y) = fit_system(*series)
-    report = {
-        "model": model_to_dict(model),
-        "diagnostics": {
-            "labor": diagnostics_to_dict(diag_l),
-            "capital": diagnostics_to_dict(diag_k),
-            "output": diagnostics_to_dict(diag_y),
-        },
-    }
-    print(emit_json(report))
+    model, diags = fit_system(*series)
+    diagnostics = dict(zip(("labor", "capital", "output"), map(diagnostics_to_dict, diags)))
+    print(emit_json({"model": model_to_dict(model), "diagnostics": diagnostics}))
     return EXIT_OK
 
 
-def _default_alpha(model: ExponentialModel, notes: list[str]) -> float:
-    between = model.b1 < model.b3 < model.b2 or model.b2 < model.b3 < model.b1
-    if model.b1 != model.b2 and between:
-        alpha, _ = crs_elasticities(model)
-        return alpha
-    notes.append(
-        "b3 is not strictly between b1 and b2, so no constant-returns share "
-        "exists in (0, 1); defaulting alpha to 0.5"
-    )
-    return 0.5
-
-
 def cmd_derive(args) -> int:
-    if args.from_fit:
-        model = load_model_source(args.from_fit, kind="fit-json")
-    else:
-        with open(args.from_spec, "r", encoding="utf-8") as fh:
-            model = to_model(parse_model(fh.read()))
+    kind = "fit-json" if args.from_fit else "text"
+    model = load_model_source(args.from_fit or args.from_spec, kind=kind)
+
+    with warnings.catch_warnings(record=True) as crs_caught:  # reported after the others
+        warnings.simplefilter("always")
+        crs = crs_elasticities(model) if model.b1 != model.b2 else None
 
     notes: list[str] = []
+    if args.alpha is not None:
+        alpha = args.alpha
+    elif _b3_between(model):  # then b1 != b2, so crs exists
+        alpha = crs[0]
+    else:
+        alpha = 0.5
+        notes.append(
+            "b3 is not strictly between b1 and b2, so no constant-returns share "
+            "exists in (0, 1); defaulting alpha to 0.5"
+        )
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        alpha = args.alpha if args.alpha is not None else _default_alpha(model, notes)
-
         if args.family == "fundamental":
             fns = [fundamental_invariant_L(model), fundamental_invariant_K(model)]
         elif args.family == "cobb-douglas":
@@ -325,42 +289,36 @@ def cmd_derive(args) -> int:
         else:
             fns = [ces_reduction(model, alpha, tol=args.tol)]
 
-        crs = None
-        if model.b1 != model.b2:
-            a, b = crs_elasticities(model)
-            crs = {"alpha": a, "beta": b}
-
         grid = np.arange(0.0, args.horizon + DEFAULT_STEP / 2.0, DEFAULT_STEP)
-        checks = [constancy_check(fn, model, grid) for fn in fns]
-
-    messages = notes + [str(w.message) for w in caught]
-
-    report: dict = {"family": args.family}
-    report["alpha"] = None if args.family == "fundamental" else alpha
-    if args.family == "fundamental":
-        report["functions"] = [
+        entries = [
             {
                 "function": function_to_dict(fn),
                 "constancy": {
                     "horizon": args.horizon,
                     "step": DEFAULT_STEP,
-                    "max_relative_deviation": dev,
+                    "max_relative_deviation": constancy_check(fn, model, grid),
                 },
             }
-            for fn, dev in zip(fns, checks)
+            for fn in fns
         ]
+
+    fundamental = args.family == "fundamental"
+    report: dict = {"family": args.family, "alpha": None if fundamental else alpha}
+    if fundamental:
+        report["functions"] = entries
     else:
-        report["function"] = function_to_dict(fns[0])
-        report["constancy"] = {
-            "horizon": args.horizon,
-            "step": DEFAULT_STEP,
-            "max_relative_deviation": checks[0],
-        }
-    report["crs"] = crs
-    report["warnings"] = messages
+        report.update(entries[0])
+    report["crs"] = None if crs is None else {"alpha": crs[0], "beta": crs[1]}
+    report["warnings"] = notes + [str(w.message) for w in caught + crs_caught]
     report["model"] = model_to_dict(model)
     print(emit_json(report))
     return EXIT_OK
+
+
+def _write_csv(out, header: str, columns) -> None:
+    out.write(header + "\n")
+    for row in zip(*columns):
+        out.write(",".join(_fmt_float(float(x)) for x in row) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -368,16 +326,13 @@ def cmd_check(args) -> int:
     fn = function_from_dict(_read_json(args.function))
     t = args.grid
 
-    max_dev = constancy_check(fn, model, t)
-    L, K, Y = trajectory(model, t)
-    y_fn = np.asarray(evaluate(fn, L, K))
-    rel = np.abs(y_fn - Y) / Y
-
     if args.table:
+        Y, y_fn, rel = _deviation(fn, model, t)
+        max_dev = float(np.max(rel))
         with open(args.table, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,Y_model,Y_fn,rel_dev\n")
-            for row in zip(t, np.asarray(Y), y_fn, rel):
-                fh.write(",".join(_fmt_float(float(x)) for x in row) + "\n")
+            _write_csv(fh, "t,Y_model,Y_fn,rel_dev", (t, Y, y_fn, rel))
+    else:
+        max_dev = constancy_check(fn, model, t)
 
     report = {
         "grid": {
@@ -396,12 +351,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model_source(args.model)
-    t = args.grid
-    L, K, Y = trajectory(model, t)
-    out = sys.stdout
-    out.write("t,L,K,Y\n")
-    for row in zip(t, np.asarray(L), np.asarray(K), np.asarray(Y)):
-        out.write(",".join(_fmt_float(float(x)) for x in row) + "\n")
+    _write_csv(sys.stdout, "t,L,K,Y", (args.grid, *trajectory(model, args.grid)))
     return EXIT_OK
 
 
@@ -409,10 +359,7 @@ def cmd_export(args) -> int:
     series = load_series(args.csv, year_col=args.year_col, value_cols=args.value_col)
     if args.normalize:
         series = [normalize_base100(s) for s in series]
-    if args.out:
-        write_series(series, args.out)
-    else:
-        write_series(series, sys.stdout)
+    write_series(series, args.out or sys.stdout)
     return EXIT_OK
 
 

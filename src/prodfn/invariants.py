@@ -60,6 +60,11 @@ def _require_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
+def _b3_between(model: ExponentialModel) -> bool:
+    """True when b3 lies strictly between b1 and b2: the CRS alpha is then in (0, 1)."""
+    return model.b1 < model.b3 < model.b2 or model.b2 < model.b3 < model.b1
+
+
 def fundamental_invariant_L(model: ExponentialModel) -> PowerLaw:
     """First fundamental invariant: Y = (Y0 / L0**(b3/b1)) * L**(b3/b1).
 
@@ -115,7 +120,7 @@ def crs_elasticities(model: ExponentialModel) -> tuple[float, float]:
         raise DegenerateRateError("b1 = b2: the CRS elasticity formula is singular")
     alpha = (model.b3 - model.b2) / (model.b1 - model.b2)
     beta = (model.b3 - model.b1) / (model.b2 - model.b1)
-    if not (model.b1 < model.b3 < model.b2 or model.b2 < model.b3 < model.b1):
+    if not _b3_between(model):
         warnings.warn(
             f"b3 is not strictly between b1 and b2, so alpha = {alpha!r} "
             "falls outside (0, 1)",
@@ -195,34 +200,26 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
     return CES(A=A, alpha=alpha, p=p, v=v)
 
 
-def constancy_check(
-    fn: ProductionFunction, model: ExponentialModel, t_grid
-) -> float:
-    """Maximum relative deviation of a function from invariance along a trajectory.
-
-    For two-input functions this is max over the grid of
-    |fn(L(t), K(t)) - Y(t)| / Y(t); deviations are measured relative to Y(t)
-    because index levels grow and an absolute metric would conflate scale
-    with error.  For a PowerLaw the invariant combination itself is tracked
-    instead: I(t) = Y(t) * X(t)**(-exponent) is compared against its t = 0
-    value.
-    """
+def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
+    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid."""
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise DomainError("t_grid must be nonempty")
     L, K, Y = trajectory(model, t)
-    if isinstance(fn, PowerLaw):
-        if fn.input is Factor.LABOR:
-            x, ln_x0 = L, model.ln_L0
-        else:
-            x, ln_x0 = K, model.ln_K0
-        combo = Y * x ** (-fn.exponent)
-        ref = math.exp(model.ln_Y0 - fn.exponent * ln_x0)
-        dev = np.abs(combo - ref) / abs(ref)
-    else:
-        dev = np.abs(evaluate(fn, L, K) - Y) / Y
-    worst = float(np.max(dev))
-    log.debug("constancy over %d grid points: max dev %.3e", t.size, worst)
+    y_fn = evaluate(fn, L, K)
+    return Y, y_fn, np.abs(y_fn - Y) / Y
+
+
+def constancy_check(
+    fn: ProductionFunction, model: ExponentialModel, t_grid
+) -> float:
+    """Maximum over the grid of |fn(L(t), K(t)) - Y(t)| / Y(t), for every function type.
+
+    Deviations are relative to Y(t) because index levels grow and an absolute
+    metric would conflate scale with error.
+    """
+    worst = float(np.max(_deviation(fn, model, t_grid)[2]))
+    log.debug("constancy over %d grid points: max dev %.3e", np.size(t_grid), worst)
     return worst
 
 

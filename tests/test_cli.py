@@ -425,3 +425,47 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one deviation metric for the check verdict and the table
+
+FUNCTIONS = {
+    "power-law": {"type": "power-law", "input": "capital", "coeff": 8.2, "exponent": 0.555},
+    "cobb-douglas": {"type": "cobb-douglas", "A": 1.0099, "alpha": 0.734, "beta": 0.276},
+    "generalized-ces": {
+        "type": "generalized-ces", "cK": 2e25, "cL": 1.85e-24, "alpha": 0.734,
+        "eK": 15.45, "eL": 39.22, "outer": 0.0359,
+    },
+    "ces": {"type": "ces", "A": 1.0, "alpha": 0.4, "p": 2.0, "v": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS))
+def test_check_verdict_is_max_of_table_column(tmp_path, capsys, kind):
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(json.dumps(FUNCTIONS[kind]))
+    table = tmp_path / "table.csv"
+    _, out, _ = run(
+        capsys, "check", "--model", str(spec), "--function", str(fn_path),
+        "--grid", "0:200:0.5", "--table", str(table),
+    )
+    rel_dev = [float(line.split(",")[3]) for line in table.read_text().splitlines()[1:]]
+    assert json.loads(out)["max_relative_deviation"] == max(rel_dev)
+
+
+def test_check_power_law_with_doubled_coeff_fails(tmp_path, capsys):
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    _, derive_out, _ = run(capsys, "derive", "--from-spec", str(spec), "--family", "fundamental")
+    fn = json.loads(derive_out)["functions"][0]["function"]
+    fn["coeff"] *= 2.0
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(json.dumps(fn))
+    code, out, _ = run(
+        capsys, "check", "--model", str(spec), "--function", str(fn_path), "--grid", "0:24:1"
+    )
+    assert code == 1
+    assert json.loads(out)["max_relative_deviation"] > 0.9

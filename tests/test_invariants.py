@@ -341,6 +341,15 @@ def test_constancy_power_law_tracks_invariant_combination():
     assert constancy_check(bent, CD1928, T_GRID) > 1e-4
 
 
+def test_constancy_power_law_reads_coeff():
+    fn = fundamental_invariant_L(CD1928)
+    doubled = type(fn)(coeff=2.0 * fn.coeff, exponent=fn.exponent, input=fn.input)
+    assert constancy_check(doubled, CD1928, T_GRID) > 0.9
+    # same exponent b3/b2, coefficient fixed by another model's initial levels
+    other = fundamental_invariant_K(model(0.05, CD1928.b2, CD1928.b3, l0=1.0, k0=9.0, y0=3.0))
+    assert constancy_check(other, CD1928, T_GRID) > 0.9
+
+
 def test_constancy_empty_grid_rejected():
     fn = cobb_douglas_member(CD1928, 0.5)
     with pytest.raises(DomainError):
