@@ -262,7 +262,8 @@ def cmd_derive(args) -> int:
     kind = "fit-json" if args.from_fit else "text"
     model = load_model_source(args.from_fit or args.from_spec, kind=kind)
 
-    with warnings.catch_warnings(record=True) as crs_caught:  # reported after the others
+    # recorded apart: the report lists this warning after the derivation's
+    with warnings.catch_warnings(record=True) as crs_caught:
         warnings.simplefilter("always")
         crs = crs_elasticities(model) if model.b1 != model.b2 else None
 
