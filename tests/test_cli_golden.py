@@ -41,6 +41,7 @@ INPUTS = {
     "near.txt": _rates(0.02, 0.0201, 0.03),
     "outside.txt": _rates(0.02, 0.06, 0.08),
     "zero.txt": _rates(0, 0.06, 0.03),
+    "inf_rate.txt": _rates("1e999", 0.06, 0.03),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "fit.json": (
         '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
@@ -79,6 +80,9 @@ INPUTS = {
         '{"type": "generalized-ces", "cK": 2.0044789522659107e+25, '
         '"cL": 1.8500712125395469e-24, "alpha": 0.73411753729773876, '
         '"eK": 15.449827919816629, "eL": 39.221761802318397, "outer": 0.035926510000000002}\n'
+    ),
+    "gces_negative.json": (
+        '{"type": "generalized-ces", "cK": -1, "cL": 1, "alpha": 0.5, "eK": 1, "eL": 1, "outer": 1}\n'
     ),
     "ces.json": '{"type": "ces", "A": 1, "alpha": 0.4, "p": 2, "v": 0.5, "sigma": -1}\n',
     "report_cd.json": (
@@ -120,6 +124,7 @@ CASES = [
     ("derive_near_ces_tol", "derive --from-spec {dir}/near.txt --family ces --alpha 0.5 --tol 0.01"),
     ("derive_outside_cobb_douglas", "derive --from-spec {dir}/outside.txt --family cobb-douglas"),
     ("derive_zero_fundamental", "derive --from-spec {dir}/zero.txt --family fundamental"),
+    ("derive_infinite_rate", "derive --from-spec {dir}/inf_rate.txt --family cobb-douglas"),
     ("derive_bad_alpha", "derive --from-spec {dir}/m.txt --family cobb-douglas --alpha 1.5"),
     ("derive_bad_spec", "derive --from-spec {dir}/bad.mdl --family cobb-douglas"),
     ("derive_spec_missing", "derive --from-spec {dir}/nope.txt --family cobb-douglas"),
@@ -140,6 +145,7 @@ CASES = [
     ("check_numeric_strings", "check --model {dir}/m.txt --function {dir}/cd_strings.json --grid 0:24:1"),
     ("check_generalized_ces", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:24:0.5" + TABLE),
     ("check_generalized_ces_single_point", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:0:1"),
+    ("check_generalized_ces_negative_coeff", "check --model {dir}/m.txt --function {dir}/gces_negative.json --grid 0:24:1"),
     ("check_ces", "check --model {dir}/even.txt --function {dir}/ces.json --grid 0:10:0.5 --tol 1e-12" + TABLE),
     ("check_derive_report", "check --model {dir}/m.txt --function {dir}/report_cd.json --grid 0:24:2"),
     ("check_fit_model", "check --model {dir}/fit.json --function {dir}/cd.json --grid 0:24:4" + TABLE),
