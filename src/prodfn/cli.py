@@ -9,8 +9,8 @@ Output is deterministic: JSON keys are emitted in a fixed order and all
 floats are printed with 17 significant digits, which is lossless for binary
 64-bit floats, so reports can be fed back into other subcommands without
 drift.  Exit codes: 0 success, 1 failed check, 2 usage error, 3 data or
-parse error, 4 math or degeneracy error.  Set PRODFN_LOG=debug|info|warning
-for diagnostics on stderr.
+parse error (also an unreadable or non-UTF-8 file), 4 math or degeneracy
+error.  Set PRODFN_LOG=debug|info|warning for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from .core import (
     FitDiagnostics,
     GeneralizedCES,
     PowerLaw,
+    ProdfnError,
     ProductionFunction,
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
 from .ingest import CsvFormatError, load_series, normalize_base100, write_series
 from .invariants import (
-    DegenerateRateError,
-    NotReducibleError,
     _b3_between,
     _deviation,
     ces_like_member,
@@ -66,6 +65,7 @@ EXIT_MATH = 4
 DEFAULT_HORIZON = 24.0  # years; matches the span of classic annual index data
 DEFAULT_STEP = 0.25
 DEFAULT_TOL = 1e-9
+MAX_GRID_POINTS = 10**6
 
 FAMILIES = ("cobb-douglas", "ces-like", "ces", "fundamental")
 
@@ -225,19 +225,27 @@ def load_model_source(path: str, *, kind: str = "auto") -> ExponentialModel:
         return to_model(parse_model(fh.read()))
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'start:stop:step' into an inclusive, nonempty time grid."""
+def _parse_grid(spec: str) -> tuple[float, float, float]:
+    """Parse 'start:stop:step' into three floats; _grid checks the range."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be START:STOP:STEP, got {spec!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {spec!r}") from None
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Inclusive time grid start, start + step, ... up to stop, checked before allocating."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError("grid START, STOP and STEP must be finite")
     if step <= 0.0 or stop < start:
-        raise argparse.ArgumentTypeError("grid needs STOP >= START and STEP > 0")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+        raise DomainError("grid needs STOP >= START and STEP > 0")
+    span = (stop - start) / step + 1e-9  # inf when stop - start overflows
+    if span >= MAX_GRID_POINTS:
+        raise DomainError(f"grid would hold more than {MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(span) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,7 @@ def cmd_derive(args) -> int:
         else:
             fns = [ces_reduction(model, alpha, tol=args.tol)]
 
-        grid = np.arange(0.0, args.horizon + DEFAULT_STEP / 2.0, DEFAULT_STEP)
+        grid = _grid(0.0, args.horizon, DEFAULT_STEP)
         entries = [
             {
                 "function": function_to_dict(fn),
@@ -325,15 +333,12 @@ def _write_csv(out, header: str, columns) -> None:
 def cmd_check(args) -> int:
     model = load_model_source(args.model)
     fn = function_from_dict(_read_json(args.function))
-    t = args.grid
-
+    t = _grid(*args.grid)
+    Y, y_fn, rel = _deviation(fn, model, t)
+    max_dev = float(np.max(rel))
     if args.table:
-        Y, y_fn, rel = _deviation(fn, model, t)
-        max_dev = float(np.max(rel))
         with open(args.table, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, "t,Y_model,Y_fn,rel_dev", (t, Y, y_fn, rel))
-    else:
-        max_dev = constancy_check(fn, model, t)
 
     report = {
         "grid": {
@@ -352,7 +357,8 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model_source(args.model)
-    _write_csv(sys.stdout, "t,L,K,Y", (args.grid, *trajectory(model, args.grid)))
+    t = _grid(*args.grid)
+    _write_csv(sys.stdout, "t,L,K,Y", (t, *trajectory(model, t)))
     return EXIT_OK
 
 
@@ -453,11 +459,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelSpecError, CsvFormatError, SeriesAlignmentError) as exc:
+    except (ModelSpecError, CsvFormatError, SeriesAlignmentError, OSError, UnicodeDecodeError) as exc:
         return _error(type(exc).__name__, str(exc), EXIT_DATA)
-    except FileNotFoundError as exc:
-        return _error("FileNotFoundError", str(exc), EXIT_DATA)
-    except (DomainError, DegenerateRateError, NotReducibleError, OverflowError) as exc:
+    except (ProdfnError, OverflowError) as exc:
         return _error(type(exc).__name__, str(exc), EXIT_MATH)
 
 

@@ -41,11 +41,21 @@ class Factor(Enum):
     CAPITAL = "capital"
 
 
-def _check_finite(obj, fields):
-    for name in fields:
-        v = getattr(obj, name)
-        if not math.isfinite(v):
-            raise DomainError(f"{type(obj).__name__}.{name} must be finite, got {v!r}")
+# (predicate, message) of each field rule, in the order _check_fields applies them
+_FIELD_RULES = (
+    (math.isfinite, "must be finite"),
+    (lambda v: v > 0.0, "must be positive"),
+    (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+)
+
+
+def _check_fields(obj, finite, positive=(), share=()):
+    """Raise DomainError naming the first field of `obj` that breaks its rule."""
+    for (holds, message), names in zip(_FIELD_RULES, (finite, positive, share)):
+        for name in names:
+            v = getattr(obj, name)
+            if not holds(v):
+                raise DomainError(f"{type(obj).__name__}.{name} {message}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class ExponentialModel:
     base_year: int = 0
 
     def __post_init__(self):
-        _check_finite(self, ("b1", "b2", "b3", "ln_L0", "ln_K0", "ln_Y0"))
+        _check_fields(self, ("b1", "b2", "b3", "ln_L0", "ln_K0", "ln_Y0"))
 
     @property
     def L0(self) -> float:
@@ -108,9 +118,7 @@ class PowerLaw:
     input: Factor
 
     def __post_init__(self):
-        _check_finite(self, ("coeff", "exponent"))
-        if self.coeff <= 0.0:
-            raise DomainError(f"PowerLaw.coeff must be positive, got {self.coeff!r}")
+        _check_fields(self, ("coeff", "exponent"), ("coeff",))
 
 
 @dataclass(frozen=True)
@@ -126,11 +134,7 @@ class CobbDouglas:
     beta: float
 
     def __post_init__(self):
-        _check_finite(self, ("A", "alpha", "beta"))
-        if self.A <= 0.0:
-            raise DomainError(f"CobbDouglas.A must be positive, got {self.A!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"CobbDouglas.alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_fields(self, ("A", "alpha", "beta"), ("A",), ("alpha",))
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,7 @@ class GeneralizedCES:
     outer: float
 
     def __post_init__(self):
-        _check_finite(self, ("cK", "cL", "alpha", "eK", "eL", "outer"))
-        if self.cK <= 0.0 or self.cL <= 0.0:
-            raise DomainError("GeneralizedCES coefficients cK, cL must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"GeneralizedCES.alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_fields(self, ("cK", "cL", "alpha", "eK", "eL", "outer"), ("cK", "cL"), ("alpha",))
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,7 @@ class CES:
     v: float
 
     def __post_init__(self):
-        _check_finite(self, ("A", "alpha", "p", "v"))
-        if self.A <= 0.0:
-            raise DomainError(f"CES.A must be positive, got {self.A!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"CES.alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_fields(self, ("A", "alpha", "p", "v"), ("A",), ("alpha",))
         if self.p == 0.0:
             raise DomainError("CES.p must be nonzero")
 

@@ -60,6 +60,12 @@ def _require_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
+def _require_nonzero(model: ExponentialModel, names, why: str) -> None:
+    for name in names:
+        if getattr(model, name) == 0.0:
+            raise DegenerateRateError(f"{name} = 0: {why}")
+
+
 def _b3_between(model: ExponentialModel) -> bool:
     """True when b3 lies strictly between b1 and b2: the CRS alpha is then in (0, 1)."""
     return model.b1 < model.b3 < model.b2 or model.b2 < model.b3 < model.b1
@@ -71,8 +77,7 @@ def fundamental_invariant_L(model: ExponentialModel) -> PowerLaw:
     Equivalently Y * L**(-b3/b1) is constant along every trajectory.
     Requires b1 != 0, otherwise L carries no time information to eliminate.
     """
-    if model.b1 == 0.0:
-        raise DegenerateRateError("b1 = 0: time cannot be eliminated via L")
+    _require_nonzero(model, ("b1",), "time cannot be eliminated via L")
     exponent = model.b3 / model.b1
     coeff = math.exp(model.ln_Y0 - exponent * model.ln_L0)
     return PowerLaw(coeff=coeff, exponent=exponent, input=Factor.LABOR)
@@ -80,8 +85,7 @@ def fundamental_invariant_L(model: ExponentialModel) -> PowerLaw:
 
 def fundamental_invariant_K(model: ExponentialModel) -> PowerLaw:
     """Second fundamental invariant: Y = (Y0 / K0**(b3/b2)) * K**(b3/b2)."""
-    if model.b2 == 0.0:
-        raise DegenerateRateError("b2 = 0: time cannot be eliminated via K")
+    _require_nonzero(model, ("b2",), "time cannot be eliminated via K")
     exponent = model.b3 / model.b2
     coeff = math.exp(model.ln_Y0 - exponent * model.ln_K0)
     return PowerLaw(coeff=coeff, exponent=exponent, input=Factor.CAPITAL)
@@ -99,8 +103,7 @@ def cobb_douglas_member(model: ExponentialModel, alpha: float) -> CobbDouglas:
     invariance at t = 0, namely A = Y0 * L0**(-alpha) * K0**(-beta).
     """
     _require_alpha(alpha)
-    if model.b2 == 0.0:
-        raise DegenerateRateError("b2 = 0: the capital exponent is undefined")
+    _require_nonzero(model, ("b2",), "the capital exponent is undefined")
     beta = model.b3 / model.b2 - alpha * model.b1 / model.b2
     A = math.exp(model.ln_Y0 - alpha * model.ln_L0 - beta * model.ln_K0)
     return CobbDouglas(A=A, alpha=alpha, beta=beta)
@@ -143,9 +146,7 @@ def ces_like_member(model: ExponentialModel, alpha: float) -> GeneralizedCES:
     All three growth rates must be nonzero.
     """
     _require_alpha(alpha)
-    for name, b in (("b1", model.b1), ("b2", model.b2), ("b3", model.b3)):
-        if b == 0.0:
-            raise DegenerateRateError(f"{name} = 0: the CES-like exponents are undefined")
+    _require_nonzero(model, ("b1", "b2", "b3"), "the CES-like exponents are undefined")
     cK = alpha * math.exp(model.ln_Y0 / model.b3 - model.ln_K0 / model.b2)
     cL = (1.0 - alpha) * math.exp(model.ln_Y0 / model.b3 - model.ln_L0 / model.b1)
     if not (math.isfinite(cK) and math.isfinite(cL)):
@@ -240,9 +241,7 @@ def identity_chain_check(
     implementation keeps it at rounding level for any model and alpha.
     """
     _require_alpha(alpha)
-    for name, b in (("b1", model.b1), ("b2", model.b2), ("b3", model.b3)):
-        if b == 0.0:
-            raise DegenerateRateError(f"{name} = 0: the identity chain is undefined")
+    _require_nonzero(model, ("b1", "b2", "b3"), "the identity chain is undefined")
     if L <= 0.0 or K <= 0.0:
         raise DomainError("L and K must be strictly positive")
     b1, b2, b3 = model.b1, model.b2, model.b3

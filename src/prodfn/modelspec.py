@@ -282,17 +282,14 @@ def to_model(spec: ModelSpec) -> ExponentialModel:
     """Map a ModelSpec onto an ExponentialModel (base year 0).
 
     Roles, not declaration order, decide which variable becomes L, K or Y.
-    Initial levels must be positive and finite so their logs exist.
+    Initial levels must be positive so their logs exist; ExponentialModel
+    rejects non-finite rates and logs.
     """
     by_name = {v.name: v for v in spec.variables}
     picked = [by_name[spec.labor_var], by_name[spec.capital_var], by_name[spec.output_var]]
     for v in picked:
-        if not (math.isfinite(v.init) and v.init > 0.0):
-            raise DomainError(
-                f"initial value of {v.name!r} must be positive and finite, got {v.init!r}"
-            )
-        if not math.isfinite(v.rate):
-            raise DomainError(f"growth rate of {v.name!r} must be finite, got {v.rate!r}")
+        if not v.init > 0.0:
+            raise DomainError(f"initial value of {v.name!r} must be positive, got {v.init!r}")
     lab, cap, out = picked
     return ExponentialModel(
         b1=lab.rate,

@@ -1,9 +1,15 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodfn.cli import main
+from prodfn.cli import MAX_GRID_POINTS, _grid, main
 from conftest import CD1928
 
 EXAMPLE_MODEL_TEXT = (
@@ -469,3 +475,78 @@ def test_check_power_law_with_doubled_coeff_fails(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["max_relative_deviation"] > 0.9
+
+
+# ---------------------------------------------------------------------------
+# one time grid for check, simulate and the derive horizon
+
+
+def test_check_reversed_grid_is_math_error(tmp_path, capsys):
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(json.dumps(FUNCTIONS["cobb-douglas"]))
+    code, out, err = run(
+        capsys, "check", "--model", str(spec), "--function", str(fn_path), "--grid", "5:0:1"
+    )
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("h", [12.2, 24.2])
+def test_grid_stops_at_or_before_horizon(h):
+    assert _grid(0.0, h, 0.25)[-1] <= h
+
+
+@pytest.mark.parametrize("h", [0.0, 12.0, 24.0])
+def test_grid_equals_former_derive_grid(h):
+    assert _grid(0.0, h, 0.25).tobytes() == np.arange(0.0, h + 0.125, 0.25).tobytes()
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    real_arange = np.arange
+
+    def bounded_arange(n, *rest, **kwargs):
+        assert not rest and n <= MAX_GRID_POINTS, (n, rest)
+        return real_arange(n, **kwargs)
+
+    with mock.patch.object(np, "arange", bounded_arange), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_total(code, out, err):
+    assert code in (0, 1, 4)
+    if code == 4:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.fixture(scope="module")
+def model_and_function(tmp_path_factory):
+    work = tmp_path_factory.mktemp("grid")
+    spec = work / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    fn_path = work / "fn.json"
+    fn_path.write_text(json.dumps(FUNCTIONS["cobb-douglas"]))
+    return str(spec), str(fn_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.floats(), stop=st.floats(), step=st.floats())
+def test_check_any_grid_ends_in_a_typed_exit(model_and_function, start, stop, step):
+    spec, fn_path = model_and_function
+    grid = f"--grid={start!r}:{stop!r}:{step!r}"  # '=' keeps a leading '-' a value
+    _assert_total(*_main_captured(["check", "--model", spec, "--function", fn_path, grid]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizon=st.floats())
+def test_derive_any_horizon_ends_in_a_typed_exit(model_and_function, horizon):
+    spec, _ = model_and_function
+    argv = ["derive", "--from-spec", spec, "--family", "cobb-douglas", f"--horizon={horizon!r}"]
+    _assert_total(*_main_captured(argv))

@@ -51,6 +51,7 @@ INPUTS = {
     "bare.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
     "badmodel.json": '{"model": {"b1": 0.1}}\n',
     "notjson.txt": "{not json\n",
+    "latin1.txt": _rates(0.02, 0.06, 0.03).encode("utf-8") + b"\xe9\n",
     # functions
     "pl_labor.json": (
         '{"type": "power-law", "input": "labor", '
@@ -99,6 +100,7 @@ INPUTS = {
     "missing.json": '{"type": "cobb-douglas", "A": 1.0, "alpha": 0.5}\n',
     "bad_factor.json": '{"type": "power-law", "input": "land", "coeff": 1, "exponent": 1}\n',
     "list.json": "[1, 2]\n",
+    "latin1.json": b'{"type": "cobb-douglas", "A": 1, "alpha": 0.5, "beta": 0.5, "note": "\xe9"}\n',
     # series
     "data.csv": (
         "year,L,K,Y\n1899,100,100,100\n1900,101,107,105\n1901,105,114,110\n"
@@ -134,6 +136,8 @@ CASES = [
         "derive --from-fit {dir}/fit.json --family cobb-douglas --alpha 0.3 --horizon 12",
     ),
     ("derive_bare_ces_like", "derive --from-fit {dir}/bare.json --family ces-like"),
+    ("derive_horizon_nan", "derive --from-spec {dir}/m.txt --family cobb-douglas --horizon nan"),
+    ("derive_horizon_inf", "derive --from-spec {dir}/m.txt --family cobb-douglas --horizon inf"),
     ("derive_fit_not_json", "derive --from-fit {dir}/notjson.txt --family cobb-douglas"),
     ("derive_fit_bad_model", "derive --from-fit {dir}/badmodel.json --family cobb-douglas"),
     ("check_power_law_labor", "check --model {dir}/m.txt --function {dir}/pl_labor.json --grid 0:24:0.5" + TABLE),
@@ -155,11 +159,16 @@ CASES = [
     ("check_function_not_object", "check --model {dir}/m.txt --function {dir}/list.json --grid 0:24:1"),
     ("check_several_functions", "check --model {dir}/m.txt --function {dir}/report_fundamental.json --grid 0:24:1"),
     ("check_function_not_json", "check --model {dir}/m.txt --function {dir}/notjson.txt --grid 0:24:1"),
+    ("check_grid_infinite", "check --model {dir}/m.txt --function {dir}/cd.json --grid 0:inf:1"),
+    ("check_model_directory", "check --model {dir} --function {dir}/cd.json --grid 0:24:1"),
+    ("check_model_not_utf8", "check --model {dir}/latin1.txt --function {dir}/cd.json --grid 0:24:1"),
+    ("check_function_not_utf8", "check --model {dir}/m.txt --function {dir}/latin1.json --grid 0:24:1"),
     ("check_bad_model_text", "check --model {dir}/bad.mdl --function {dir}/cd.json --grid 0:24:1"),
     ("check_bad_model_json", "check --model {dir}/badmodel.json --function {dir}/cd.json --grid 0:24:1"),
     ("simulate_spec", "simulate --model {dir}/m.txt --grid 0:3:1"),
     ("simulate_fit", "simulate --model {dir}/fit.json --grid 0:24:6"),
     ("simulate_bare", "simulate --model {dir}/bare.json --grid 0:2:0.5"),
+    ("simulate_grid_too_large", "simulate --model {dir}/m.txt --grid 0:1e12:1e-3"),
     ("simulate_overflow", "simulate --model {dir}/m.txt --grid 0:100000:100000"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
@@ -170,7 +179,7 @@ def outcome(workdir: Path, argv: str) -> str:
     """Run one case in `workdir` and render everything it produced as text."""
     workdir.mkdir(parents=True, exist_ok=True)
     for name, text in INPUTS.items():
-        (workdir / name).write_bytes(text.encode("utf-8"))
+        (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     out, err = io.StringIO(), io.StringIO()
     # warnings outside the CLI's own recording would reach stderr only
     # when pytest does not capture them; keep the rendering independent of that
