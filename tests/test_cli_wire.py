@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import prodfn.cli as cli
@@ -146,3 +147,58 @@ def test_function_from_dict_errors(obj, message):
 def test_benchmark_import_surface_is_defined_in_cli(name):
     # perfbench calls these and traces only functions defined in prodfn.cli
     assert getattr(cli, name).__module__ == "prodfn.cli"
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.5), "0.5"),
+        (np.int64(-7), "-7"),
+        (True, "true"),
+        (False, "false"),
+        (None, "null"),
+        (((1, (2.5, "x")), ()), '[\n  [\n    1,\n    [\n      2.5,\n      "x"\n    ]\n  ],\n  []\n]'),
+        ({}, "{}"),
+        ([], "[]"),
+        ({"k": {}}, '{\n  "k": {}\n}'),
+        ({"k": []}, '{\n  "k": []\n}'),
+        ({"é\n": 'ünï\t"\\/\x01'}, '{\n  "\\u00e9\\n": "\\u00fcn\\u00ef\\t\\"\\\\/\\u0001"\n}'),
+        ("\u2028\U0001f600", '"\\u2028\\ud83d\\ude00"'),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        ([1e300, -1e-300], "[\n  1.0000000000000001e+300,\n  -1e-300\n]"),
+        ({_Str("a"): _Str("b")}, '{\n  "a": "b"\n}'),
+        (_Float(1.5), "1.5"),
+        (_Int(3), "3"),
+        ({1: 2}, "{\n  1: 2\n}"),
+    ],
+)
+def test_emit_json_exact_text(obj, text):
+    assert emit_json(obj) == text
+
+
+@pytest.mark.parametrize(
+    "obj", [float("inf"), float("nan"), np.float64("-inf"), [1.0, float("nan")], {"x": float("inf")}]
+)
+def test_emit_json_rejects_non_finite(obj):
+    with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+        emit_json(obj)
+
+
+@pytest.mark.parametrize("obj, name", [({1, 2}, "set"), (np.bool_(True), "bool"), ([object()], "object")])
+def test_emit_json_rejects_other_types(obj, name):
+    with pytest.raises(TypeError, match=f"cannot serialize {name}$"):
+        emit_json(obj)

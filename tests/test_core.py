@@ -219,3 +219,20 @@ def test_fit_diagnostics_invariants():
         FitDiagnostics(slope=0.0, intercept=0.0, r_squared=1.5, residual_max_abs=0.0, n_points=5)
     with pytest.raises(DomainError):
         FitDiagnostics(slope=0.0, intercept=0.0, r_squared=0.5, residual_max_abs=0.0, n_points=1)
+
+
+@pytest.mark.parametrize(
+    "rates, t, message",
+    [
+        ((1.0, 0.0, 0.0), 1000.0, "L(t) overflows at t = 1000.0"),
+        ((1.0, 0.0, 0.0), np.array([0.0, 700.0, 709.5, 710.0, 800.0]), "L(t) overflows at t = 710.0"),
+        ((0.0, 2.0, 3.0), np.array([0.0, 300.0, 400.0]), "K(t) overflows at t = 400.0"),
+        ((0.0, 2.0, 3.0), 355.0, "K(t) overflows at t = 355.0"),
+    ],
+)
+def test_trajectory_overflow_message_names_first_t(rates, t, message):
+    b1, b2, b3 = rates
+    m = ExponentialModel(b1=b1, b2=b2, b3=b3, ln_L0=0.0, ln_K0=0.0, ln_Y0=0.0)
+    with pytest.raises(DomainError) as ei:
+        trajectory(m, t)
+    assert str(ei.value) == message

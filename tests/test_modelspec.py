@@ -263,3 +263,61 @@ def test_parse_never_crashes_on_text(text):
         parse_model(text)
     except ModelSpecError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# positions on multi-line text: comments, tabs, blank lines, CRLF
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (
+            "# header comment\n\tvar L = 1;\r\n\n  var K = 2; @\n",
+            "line 4, col 14: unexpected character '@'",
+            4,
+            14,
+        ),
+        ("var L = 1;\n$var K = 2;", "line 2, col 1: unexpected character '$'", 2, 1),
+        ("var L = 1; # ok\nvar K = 2;!\nvar Y = 3;", "line 2, col 11: unexpected character '!'", 2, 11),
+        ("var L = 1;\r\nvar K = 2;\r\n%", "line 3, col 1: unexpected character '%'", 3, 1),
+        ("\t\t&", "line 1, col 3: unexpected character '&'", 1, 3),
+        ("# é in a comment\r\nvar é = 1;", "line 2, col 5: unexpected character 'é'", 2, 5),
+        (
+            "var L = 1;\n\n\n\t\t# c\r\n   role\tlabor\r\n L ; role capital K;\n!",
+            "line 7, col 1: unexpected character '!'",
+            7,
+            1,
+        ),
+        ("var L = 1; # c\r\n\tvar K 2;", "line 2, col 8: expected '=', got '2'", 2, 8),
+        ("var L = 1\n# no semicolon\n", "line 3, col 1: expected ';', got end of input", 3, 1),
+        ("var L = 1 # c", "line 1, col 14: expected ';', got end of input", 1, 14),
+    ],
+)
+def test_error_positions_on_multiline_text(text, message, line, col):
+    with pytest.raises(ModelSyntaxError) as ei:
+        parse_model(text)
+    assert str(ei.value) == message
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+def test_tokens_carry_line_and_column():
+    from prodfn.modelspec import _tokenize
+
+    text = "# c\r\n\tvar L = -1.5e+2;\r\n\n dL/dt = .5 * L; # end"
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == [
+        ("ident", "var", 2, 2),
+        ("ident", "L", 2, 6),
+        ("=", "=", 2, 8),
+        ("number", "-1.5e+2", 2, 10),
+        (";", ";", 2, 17),
+        ("ident", "dL", 4, 2),
+        ("/", "/", 4, 4),
+        ("ident", "dt", 4, 5),
+        ("=", "=", 4, 8),
+        ("number", ".5", 4, 10),
+        ("*", "*", 4, 13),
+        ("ident", "L", 4, 15),
+        (";", ";", 4, 16),
+        ("eof", "", 4, 23),
+    ]
