@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -54,8 +55,6 @@ from .invariants import (
 )
 from .modelspec import ModelSpecError, parse_model, to_model
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -79,25 +78,32 @@ class InputFormatError(CsvFormatError):
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
 
 
 def emit_json(obj, indent: int = 0) -> str:
     """Serialize to JSON with insertion-ordered keys and %.17g floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    cls = type(obj)  # the exact types first: they are nearly every value
+    if cls is float:
+        return _fmt_float(obj)
+    if cls is str:
+        return _encode_str(obj)
+    pad = "\n" + "  " * indent
+    inner = pad + "  "
+    if cls is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{json.dumps(k)}: {emit_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+        items = [
+            f"{inner}{_encode_str(k) if isinstance(k, str) else json.dumps(k)}: {emit_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{" + ",".join(items) + pad + "}"
+    if cls is list or isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{emit_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return "[" + ",".join([inner + emit_json(v, indent + 1) for v in obj]) + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -107,7 +113,7 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _encode_str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -192,26 +192,26 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
     """Closed-form trajectory (L(t), K(t), Y(t)) of the exponential system.
 
     t is years since model.base_year, scalar or array (applied elementwise).
-    Raises DomainError when an exponential overflows, naming the variable and
-    the first offending t.
+    Raises DomainError when a level overflows or underflows to 0, naming the
+    variable and the first offending t.
     """
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if not np.all(np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise DomainError("t must be finite")
-    out = []
-    for name, b, ln0 in (
-        ("L", model.b1, model.ln_L0),
-        ("K", model.b2, model.ln_K0),
-        ("Y", model.b3, model.ln_Y0),
-    ):
-        with np.errstate(over="ignore"):
-            x = np.exp(ln0 + b * t_arr)
-        if not np.all(np.isfinite(x)):
-            bad = float(np.atleast_1d(t_arr)[~np.isfinite(np.atleast_1d(x))][0])
-            raise DomainError(f"{name}(t) overflows at t = {bad}")
-        out.append(float(x) if scalar else x)
-    return out[0], out[1], out[2]
+    with np.errstate(over="ignore"):
+        L = np.exp(model.ln_L0 + model.b1 * t_arr)
+        K = np.exp(model.ln_K0 + model.b2 * t_arr)
+        Y = np.exp(model.ln_Y0 + model.b3 * t_arr)
+    for name, x in (("L", L), ("K", K), ("Y", Y)):
+        ok = x > 0.0
+        ok &= x < np.inf  # x is never nan: its exponent is finite or +-inf
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            what = "overflows" if np.ravel(x)[i] == np.inf else "underflows to 0"
+            raise DomainError(f"{name}(t) {what} at t = {float(np.ravel(t_arr)[i])}")
+    if t_arr.ndim == 0:
+        return float(L), float(K), float(Y)
+    return L, K, Y
 
 
 def evaluate(fn: ProductionFunction, L: Scalarish, K: Scalarish) -> Scalarish:
@@ -225,9 +225,9 @@ def evaluate(fn: ProductionFunction, L: Scalarish, K: Scalarish) -> Scalarish:
     L_arr = np.asarray(L, dtype=float)
     K_arr = np.asarray(K, dtype=float)
     scalar = L_arr.ndim == 0 and K_arr.ndim == 0
-    if not np.all(L_arr > 0.0):
+    if not (L_arr > 0.0).all():
         raise DomainError("L must be strictly positive")
-    if not np.all(K_arr > 0.0):
+    if not (K_arr > 0.0).all():
         raise DomainError("K must be strictly positive")
 
     if isinstance(fn, PowerLaw):

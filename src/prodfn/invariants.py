@@ -219,8 +219,9 @@ def constancy_check(
     Deviations are relative to Y(t) because index levels grow and an absolute
     metric would conflate scale with error.
     """
-    worst = float(np.max(_deviation(fn, model, t_grid)[2]))
-    log.debug("constancy over %d grid points: max dev %.3e", np.size(t_grid), worst)
+    rel = _deviation(fn, model, t_grid)[2]
+    worst = float(rel.max())
+    log.debug("constancy over %d grid points: max dev %.3e", rel.size, worst)
     return worst
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DomainError, ExponentialModel, ProdfnError
 
@@ -103,8 +104,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "=" | ";" | "*" | "/" | "eof"
     text: str
     line: int
@@ -115,24 +115,21 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break  # text[pos] starts no token
         kind = m.lastgroup
         lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            col = pos - line_start + 1
-            if kind == "sym":
-                tokens.append(_Token(lexeme, lexeme, line, col))
-            else:
-                tokens.append(_Token(kind, lexeme, line, col))
-        line += lexeme.count("\n")
-        if "\n" in lexeme:
-            line_start = pos + lexeme.rindex("\n") + 1
+        if kind == "ws":  # the only lexeme that can hold a newline
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + lexeme.rindex("\n") + 1
+        elif kind != "comment":
+            tokens.append(_Token(lexeme if kind == "sym" else kind, lexeme, line, pos - line_start + 1))
         pos = m.end()
+    if pos != len(text):
+        raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 

@@ -42,6 +42,7 @@ INPUTS = {
     "outside.txt": _rates(0.02, 0.06, 0.08),
     "zero.txt": _rates(0, 0.06, 0.03),
     "inf_rate.txt": _rates("1e999", 0.06, 0.03),
+    "underflow.txt": _rates(0.02, 0.03, 0.1),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "fit.json": (
         '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
@@ -165,11 +166,13 @@ CASES = [
     ("check_function_not_utf8", "check --model {dir}/m.txt --function {dir}/latin1.json --grid 0:24:1"),
     ("check_bad_model_text", "check --model {dir}/bad.mdl --function {dir}/cd.json --grid 0:24:1"),
     ("check_bad_model_json", "check --model {dir}/badmodel.json --function {dir}/cd.json --grid 0:24:1"),
+    ("check_trajectory_underflow", "check --model {dir}/underflow.txt --function {dir}/cd.json --grid=-8000:-7999:1"),
     ("simulate_spec", "simulate --model {dir}/m.txt --grid 0:3:1"),
     ("simulate_fit", "simulate --model {dir}/fit.json --grid 0:24:6"),
     ("simulate_bare", "simulate --model {dir}/bare.json --grid 0:2:0.5"),
     ("simulate_grid_too_large", "simulate --model {dir}/m.txt --grid 0:1e12:1e-3"),
     ("simulate_overflow", "simulate --model {dir}/m.txt --grid 0:100000:100000"),
+    ("simulate_trajectory_underflow", "simulate --model {dir}/underflow.txt --grid=-8000:-7999:1"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
 ]

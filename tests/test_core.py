@@ -236,3 +236,34 @@ def test_trajectory_overflow_message_names_first_t(rates, t, message):
     with pytest.raises(DomainError) as ei:
         trajectory(m, t)
     assert str(ei.value) == message
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (-8000.0, "Y(t) underflows to 0 at t = -8000.0"),
+        (np.array([0.0, -7000.0, -7460.0, -8000.0]), "Y(t) underflows to 0 at t = -7460.0"),
+        (np.array([[0.0, -100.0], [-7999.0, -8000.0]]), "Y(t) underflows to 0 at t = -7999.0"),
+    ],
+)
+def test_trajectory_underflow_names_first_t(t, message):
+    m = ExponentialModel(b1=0.02, b2=0.03, b3=0.1, ln_L0=0.0, ln_K0=0.0, ln_Y0=0.0)
+    with pytest.raises(DomainError) as ei:
+        trajectory(m, t)
+    assert str(ei.value) == message
+
+
+def test_trajectory_reports_the_first_bad_t_of_either_kind():
+    m = ExponentialModel(b1=1.0, b2=0.0, b3=0.0, ln_L0=0.0, ln_K0=0.0, ln_Y0=0.0)
+    with pytest.raises(DomainError, match=r"^L\(t\) overflows at t = 800.0$"):
+        trajectory(m, np.array([800.0, -800.0]))
+    with pytest.raises(DomainError, match=r"^L\(t\) underflows to 0 at t = -800.0$"):
+        trajectory(m, np.array([-800.0, 800.0]))
+
+
+def test_trajectory_keeps_subnormal_levels():
+    m = ExponentialModel(b1=1.0, b2=0.0, b3=0.0, ln_L0=0.0, ln_K0=0.0, ln_Y0=0.0)
+    L, _, _ = trajectory(m, -740.0)
+    assert 0.0 < L < 2.2250738585072014e-308
+    L, _, _ = trajectory(m, np.array([], dtype=float))
+    assert L.shape == (0,)
