@@ -261,7 +261,7 @@ def test_trajectory_reports_the_first_bad_t_of_either_kind():
         trajectory(m, np.array([-800.0, 800.0]))
 
 
-def test_trajectory_keeps_subnormal_levels():
+def test_trajectory_keeps_subnormal_levels_and_empty_t():
     m = ExponentialModel(b1=1.0, b2=0.0, b3=0.0, ln_L0=0.0, ln_K0=0.0, ln_Y0=0.0)
     L, _, _ = trajectory(m, -740.0)
     assert 0.0 < L < 2.2250738585072014e-308
