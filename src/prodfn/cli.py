@@ -41,7 +41,7 @@ from .core import (
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
-from .ingest import CsvFormatError, load_series, normalize_base100, write_series
+from .ingest import CsvFormatError, _fmt_float, _write_csv, load_series, normalize_base100, write_series
 from .invariants import (
     _b3_between,
     _deviation,
@@ -75,12 +75,6 @@ class InputFormatError(CsvFormatError):
 
 # ---------------------------------------------------------------------------
 # deterministic JSON emission
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(x, ".17g")
 
 
 def emit_json(obj, indent: int = 0) -> str:
@@ -258,15 +252,14 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
 # subcommands
 
 
+def _load_series(args, value_cols):
+    """The --csv series of `fit` and `export`, rebased to 100 under --normalize."""
+    series = load_series(args.csv, year_col=args.year_col, value_cols=value_cols)
+    return [normalize_base100(s) for s in series] if args.normalize else series
+
+
 def cmd_fit(args) -> int:
-    series = load_series(
-        args.csv,
-        year_col=args.year_col,
-        value_cols=[args.labor_col, args.capital_col, args.output_col],
-    )
-    if args.normalize:
-        series = [normalize_base100(s) for s in series]
-    model, diags = fit_system(*series)
+    model, diags = fit_system(*_load_series(args, [args.labor_col, args.capital_col, args.output_col]))
     diagnostics = dict(zip(("labor", "capital", "output"), map(diagnostics_to_dict, diags)))
     print(emit_json({"model": model_to_dict(model), "diagnostics": diagnostics}))
     return EXIT_OK
@@ -330,12 +323,6 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(out, header: str, columns) -> None:
-    out.write(header + "\n")
-    for row in zip(*columns):
-        out.write(",".join(_fmt_float(float(x)) for x in row) + "\n")
-
-
 def cmd_check(args) -> int:
     model = load_model_source(args.model)
     fn = function_from_dict(_read_json(args.function))
@@ -343,8 +330,7 @@ def cmd_check(args) -> int:
     Y, y_fn, rel = _deviation(fn, model, t)
     max_dev = float(np.max(rel))
     if args.table:
-        with open(args.table, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, "t,Y_model,Y_fn,rel_dev", (t, Y, y_fn, rel))
+        _write_csv(args.table, ("t", "Y_model", "Y_fn", "rel_dev"), (t, Y, y_fn, rel))
 
     report = {
         "grid": {
@@ -364,15 +350,12 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model_source(args.model)
     t = _grid(*args.grid)
-    _write_csv(sys.stdout, "t,L,K,Y", (t, *trajectory(model, t)))
+    _write_csv(sys.stdout, ("t", "L", "K", "Y"), (t, *trajectory(model, t)))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    series = load_series(args.csv, year_col=args.year_col, value_cols=args.value_col)
-    if args.normalize:
-        series = [normalize_base100(s) for s in series]
-    write_series(series, args.out or sys.stdout)
+    write_series(_load_series(args, args.value_col), args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -447,11 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("PRODFN_LOG", "").strip().upper()
-    if level_name:
-        level = getattr(logging, level_name, None)
+    value = os.environ.get("PRODFN_LOG", "").strip()
+    if value:
+        level = logging.getLevelName(value.upper())  # a level name maps to its number
         if isinstance(level, int):
             logging.basicConfig(stream=sys.stderr, level=level)
+        else:
+            sys.stderr.write(f"prodfn: ignoring unknown PRODFN_LOG value {value!r}\n")
 
 
 def _error(kind: str, message: str, code: int) -> int:

@@ -33,7 +33,7 @@ def fit_log_linear(series: TimeSeries) -> tuple[float, float, FitDiagnostics]:
     n = len(series)
     if n < 2:
         raise DomainError(f"series {series.name!r}: need at least 2 points, got {n}")
-    t = np.asarray(series.years, dtype=float) - float(series.base_year)
+    t = np.arange(n, dtype=float)  # years - base_year: the years are consecutive
     y = np.log(np.asarray(series.values, dtype=float))
 
     tc = t - t.mean()

@@ -158,8 +158,8 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
     """Serialize series sharing one year range back to CSV.
 
     The counterpart of `load_series`: values are printed with 17 significant
-    digits, which re-reads to the identical float.  `dest` is a path or a
-    writable text stream.
+    digits, which re-reads to the identical float, and the header is quoted
+    where a name needs it.  `dest` is a path or a writable text stream.
     """
     if not series_list:
         raise CsvFormatError("nothing to write")
@@ -170,15 +170,33 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
                 f"series {s.name!r} covers {s.years[0]}..{s.years[-1]}, "
                 f"expected {years[0]}..{years[-1]}"
             )
+    header = ["year", *(s.name for s in series_list)]
+    _write_csv(dest, header, (years, *(s.values for s in series_list)))
+
+
+def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return format(x, ".17g")
+
+
+def _write_csv(dest, header: Sequence[str], columns) -> None:
+    """Write a header row, then one row of 17-digit numbers per index of `columns`.
+
+    `dest` is a path or a writable text stream.  The header is quoted as
+    `csv` quotes it, so `load_series` reads every name back; numbers never
+    need quoting.
+    """
     if isinstance(dest, (str, Path)):
         stream, owns = open(dest, "w", encoding="utf-8", newline=""), True
     else:
         stream, owns = dest, False
     try:
-        stream.write(",".join(["year", *(s.name for s in series_list)]) + "\n")
-        for i, year in enumerate(years):
-            cells = [str(year)] + [format(s.values[i], ".17g") for s in series_list]
-            stream.write(",".join(cells) + "\n")
+        line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
+        csv.writer(line).writerow(header)
+        stream.write(line.getvalue()[:-2] + "\n")
+        for row in zip(*[map(_fmt_float, map(float, col)) for col in columns]):
+            stream.write(",".join(row) + "\n")
     finally:
         if owns:
             stream.close()

@@ -123,6 +123,8 @@ def crs_elasticities(model: ExponentialModel) -> tuple[float, float]:
         raise DegenerateRateError("b1 = b2: the CRS elasticity formula is singular")
     alpha = (model.b3 - model.b2) / (model.b1 - model.b2)
     beta = (model.b3 - model.b1) / (model.b2 - model.b1)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"CRS elasticities are not finite: alpha = {alpha!r}, beta = {beta!r}")
     if not _b3_between(model):
         warnings.warn(
             f"b3 is not strictly between b1 and b2, so alpha = {alpha!r} "

@@ -164,10 +164,8 @@ def parse_model(text: str) -> ModelSpec:
     """
     p = _Parser(_tokenize(text))
     inits: dict[str, float] = {}
-    order: list[str] = []
     rates: dict[str, float] = {}
     roles: dict[str, str] = {}
-    role_of_var: dict[str, str] = {}
 
     while p.peek().kind != "eof":
         tok = p.expect("ident", "'var', 'role', or 'd<NAME>/dt'")
@@ -181,7 +179,6 @@ def parse_model(text: str) -> ModelSpec:
                     f"variable {name_tok.text!r} declared twice", name_tok.line, name_tok.col
                 )
             inits[name_tok.text] = float(num.text)
-            order.append(name_tok.text)
         elif tok.text == "role":
             kind_tok = p.expect("ident", "'labor', 'capital' or 'output'")
             if kind_tok.text not in ROLES:
@@ -196,15 +193,14 @@ def parse_model(text: str) -> ModelSpec:
                 raise DuplicateDeclarationError(
                     f"role {kind_tok.text!r} declared twice", kind_tok.line, kind_tok.col
                 )
-            if var_tok.text in role_of_var:
+            bound = [role for role, name in roles.items() if name == var_tok.text]
+            if bound:
                 raise DuplicateDeclarationError(
-                    f"variable {var_tok.text!r} bound to both "
-                    f"{role_of_var[var_tok.text]!r} and {kind_tok.text!r}",
+                    f"variable {var_tok.text!r} bound to both {bound[0]!r} and {kind_tok.text!r}",
                     var_tok.line,
                     var_tok.col,
                 )
             roles[kind_tok.text] = var_tok.text
-            role_of_var[var_tok.text] = kind_tok.text
         elif tok.text.startswith("d") and len(tok.text) > 1 and p.peek().kind == "/":
             name = tok.text[1:]
             p.next()  # '/'
@@ -241,16 +237,16 @@ def parse_model(text: str) -> ModelSpec:
     for role, name in roles.items():
         if name not in inits:
             raise UnknownVariableError(f"role {role!r} names undeclared variable {name!r}")
-    if len(order) != 3:
-        raise VariableCountError(f"exactly 3 variables required, got {len(order)}")
-    for name in order:
+    if len(inits) != 3:
+        raise VariableCountError(f"exactly 3 variables required, got {len(inits)}")
+    for name in inits:
         if name not in rates:
             raise MissingRateError(f"variable {name!r} has no rate equation")
     for role in ROLES:
         if role not in roles:
             raise MissingRoleError(f"missing role declaration for {role!r}")
 
-    variables = tuple(VariableDef(name=n, rate=rates[n], init=inits[n]) for n in order)
+    variables = tuple(VariableDef(name=n, rate=rates[n], init=v) for n, v in inits.items())
     return ModelSpec(
         variables=variables,
         labor_var=roles["labor"],

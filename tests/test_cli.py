@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from prodfn.cli import MAX_GRID_POINTS, _grid, main
 from conftest import CD1928
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 EXAMPLE_MODEL_TEXT = (
     "var L = 106.65;  dL/dt = 0.02549605 * L;  role labor L;\n"
@@ -417,6 +423,17 @@ def test_export_normalize(tmp_path, capsys):
     assert [float(line.split(",")[1]) for line in lines[1:]] == [100.0, 200.0, 300.0]
 
 
+def test_export_output_with_a_quoted_header_reads_back(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text('year,"L,1",K\n1899,106.65,100.7\n1900,109.1,107.43\n')
+    argv = ["--year-col", "year", "--value-col", "L,1", "--value-col", "K"]
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    assert run(capsys, "export", "--csv", str(csv), *argv, "--out", str(once))[0] == 0
+    assert run(capsys, "export", "--csv", str(once), *argv, "--out", str(twice))[0] == 0
+    assert once.read_text().splitlines()[0] == 'year,"L,1",K'
+    assert twice.read_bytes() == once.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # usage
 
@@ -550,3 +567,48 @@ def test_derive_any_horizon_ends_in_a_typed_exit(model_and_function, horizon):
     spec, _ = model_and_function
     argv = ["derive", "--from-spec", spec, "--family", "cobb-douglas", f"--horizon={horizon!r}"]
     _assert_total(*_main_captured(argv))
+
+
+# ---------------------------------------------------------------------------
+# PRODFN_LOG, read once per process, so each case runs the CLI in a subprocess
+
+
+def _run_cli(work, log_value, *argv):
+    env = {k: v for k, v in os.environ.items() if k != "PRODFN_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if log_value is not None:
+        env["PRODFN_LOG"] = log_value
+    return subprocess.run(
+        [sys.executable, "-m", "prodfn", *argv], cwd=work, env=env, capture_output=True, text=True
+    )
+
+
+@pytest.fixture(scope="module")
+def log_work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("log")
+    (work / "m.txt").write_text(EXAMPLE_MODEL_TEXT)
+    (work / "fn.json").write_text(json.dumps(FUNCTIONS["cobb-douglas"]))
+    return work
+
+
+def test_log_debug_writes_one_constancy_line_per_derived_function(log_work):
+    derive = _run_cli(log_work, "debug", "derive", "--from-spec", "m.txt", "--family", "fundamental")
+    assert derive.returncode == 0
+    lines = derive.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("DEBUG:prodfn.invariants:constancy over 97 grid points") for line in lines)
+    check = _run_cli(log_work, "debug", "check", "--model", "m.txt", "--function", "fn.json", "--grid", "0:24:1")
+    assert check.returncode == 1  # the perturbed function fails; the point is the empty log
+    assert check.stderr == ""
+
+
+def test_log_unknown_value_warns_once_and_leaves_stdout_alone(log_work):
+    argv = ("derive", "--from-spec", "m.txt", "--family", "cobb-douglas")
+    unset = _run_cli(log_work, None, *argv)
+    verbose = _run_cli(log_work, "verbose", *argv)
+    assert unset.returncode == verbose.returncode == 0
+    assert verbose.stdout == unset.stdout
+    assert unset.stderr == ""
+    lines = verbose.stderr.splitlines()
+    assert len(lines) == 1
+    assert "'verbose'" in lines[0]

@@ -43,6 +43,7 @@ INPUTS = {
     "zero.txt": _rates(0, 0.06, 0.03),
     "inf_rate.txt": _rates("1e999", 0.06, 0.03),
     "underflow.txt": _rates(0.02, 0.03, 0.1),
+    "crs_not_finite.txt": _rates("1e308", "-1e308", "1e308"),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "fit.json": (
         '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
@@ -109,6 +110,7 @@ INPUTS = {
     ),
     "zero.csv": "year,L,K,Y\n1899,100,0,100\n1900,1,1,1\n",
     "two.csv": "year,L,K\n1899,106.65,100.7\n1900,109.1,107.43\n1901,111.9,114.62\n",
+    "quoted.csv": 'year,"L,1",K\n1899,106.65,100.7\n1900,109.1,107.43\n',
 }
 
 FIT = "fit --year-col year --labor-col L --capital-col K --output-col Y --csv {dir}/"
@@ -128,6 +130,7 @@ CASES = [
     ("derive_outside_cobb_douglas", "derive --from-spec {dir}/outside.txt --family cobb-douglas"),
     ("derive_zero_fundamental", "derive --from-spec {dir}/zero.txt --family fundamental"),
     ("derive_infinite_rate", "derive --from-spec {dir}/inf_rate.txt --family cobb-douglas"),
+    ("derive_crs_not_finite", "derive --from-spec {dir}/crs_not_finite.txt --family cobb-douglas --horizon 0"),
     ("derive_bad_alpha", "derive --from-spec {dir}/m.txt --family cobb-douglas --alpha 1.5"),
     ("derive_bad_spec", "derive --from-spec {dir}/bad.mdl --family cobb-douglas"),
     ("derive_spec_missing", "derive --from-spec {dir}/nope.txt --family cobb-douglas"),
@@ -175,6 +178,7 @@ CASES = [
     ("simulate_trajectory_underflow", "simulate --model {dir}/underflow.txt --grid=-8000:-7999:1"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
+    ("export_quoted_header", "export --csv {dir}/quoted.csv --year-col year --value-col L,1 --value-col K --out {dir}/out.csv"),
 ]
 
 

@@ -185,3 +185,17 @@ def test_write_then_load_round_trips_floats():
 def test_write_rejects_mismatched_years():
     with pytest.raises(CsvFormatError):
         write_series([make_series([1.0, 2.0]), make_series([1.0, 2.0], base_year=1900)], io.StringIO())
+
+
+@pytest.mark.parametrize("name", ["L,1", 'say "K"', "line\nbreak", "cr\rname", " padded,"])
+def test_write_then_load_round_trips_a_name_that_needs_quoting(name, tmp_path):
+    s = make_series([106.65, 113.2], name=name)
+    other = make_series([1.0, 2.0], name="K")
+    buf = io.StringIO()
+    write_series([s, other], buf)
+    back = load_series(io.StringIO(buf.getvalue()), "year", [name.strip(), "K"])
+    assert [b.values for b in back] == [s.values, other.values]
+    write_series([s, other], tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes().decode("utf-8") == buf.getvalue()
+    back = load_series(tmp_path / "out.csv", "year", [name.strip(), "K"])
+    assert [b.values for b in back] == [s.values, other.values]

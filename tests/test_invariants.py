@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_crs_direct_arithmetic():
 def test_crs_degenerate():
     with pytest.raises(DegenerateRateError):
         crs_elasticities(model(0.05, 0.05, 0.1))
+
+
+@pytest.mark.parametrize(
+    "b1, b2, b3",
+    [(1e308, -1e308, 1e308), (1e-300, -1e-300, 1e300)],
+    ids=["nan-alpha", "inf-alpha"],
+)
+def test_crs_rejects_non_finite_elasticities_before_warning(b1, b2, b3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ShareRangeWarning would raise first
+        with pytest.raises(DomainError, match="CRS elasticities are not finite"):
+            crs_elasticities(model(b1, b2, b3))
 
 
 def test_crs_warns_when_output_rate_not_between():
