@@ -20,6 +20,8 @@ A file must declare exactly three variables, give each a rate equation that
 references only the variable itself (the system is diagonal), and bind the
 three roles to three distinct variables.  Parsing is total: any input either
 yields a ModelSpec or raises a ModelSpecError subclass carrying a position.
+Well-formed text is read by one statement pattern and all other text by the
+token parser, so every result and error is the one the token parser gives.
 """
 
 from __future__ import annotations
@@ -92,15 +94,24 @@ class ModelSpec:
     output_var: str
 
 
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<number>{_NUMBER})
+  | (?P<ident>{_IDENT})
   | (?P<sym>[=;*/])
     """,
     re.VERBOSE,
+)
+
+# One well-formed statement and the whitespace around it.
+_STATEMENT_RE = re.compile(
+    rf"\s*(?:var\s+(?P<var>{_IDENT})\s*=\s*(?P<init>{_NUMBER})\s*;"
+    rf"|d(?P<d>{_IDENT})\s*/\s*dt\s*=\s*(?P<rate>{_NUMBER})\s*\*\s*(?P<rhs>{_IDENT})\s*;"
+    rf"|role\s+(?P<role>labor|capital|output)\s+(?P<bound>{_IDENT})\s*;)\s*"
 )
 
 
@@ -156,17 +167,26 @@ class _Parser:
         return tok
 
 
-def parse_model(text: str) -> ModelSpec:
-    """Parse and validate model text, returning a ModelSpec.
+def _match_statements(text: str, inits: dict, rates: dict, roles: dict) -> bool:
+    """Fill the dicts from well-formed text; False where the token parser must decide."""
+    pos = 0
+    while m := _STATEMENT_RE.match(text, pos):
+        pos = m.end()
+        name, init, d, rate, rhs, role, bound = m.groups()
+        if name is not None and name not in inits:
+            inits[name] = float(init)
+        elif d is not None and rhs == d and d not in rates:
+            rates[d] = float(rate)
+        elif role is not None and role not in roles and bound not in roles.values():
+            roles[role] = bound
+        else:
+            return False
+    return pos == len(text)
 
-    Raises a ModelSpecError subclass (never anything else) on invalid input,
-    with the 1-based line/column where the problem was detected.
-    """
+
+def _parse_tokens(text: str, inits: dict, rates: dict, roles: dict) -> None:
+    """Fill the dicts statement by statement; raise at the first syntax or statement error."""
     p = _Parser(_tokenize(text))
-    inits: dict[str, float] = {}
-    rates: dict[str, float] = {}
-    roles: dict[str, str] = {}
-
     while p.peek().kind != "eof":
         tok = p.expect("ident", "'var', 'role', or 'd<NAME>/dt'")
         if tok.text == "var":
@@ -230,6 +250,20 @@ def parse_model(text: str) -> ModelSpec:
                 tok.col,
             )
 
+
+def parse_model(text: str) -> ModelSpec:
+    """Parse and validate model text, returning a ModelSpec.
+
+    Raises a ModelSpecError subclass (never anything else) on invalid input,
+    with the 1-based line/column where the problem was detected.
+    """
+    inits: dict[str, float] = {}
+    rates: dict[str, float] = {}
+    roles: dict[str, str] = {}
+    if not _match_statements(text, inits, rates, roles):
+        inits, rates, roles = {}, {}, {}
+        _parse_tokens(text, inits, rates, roles)
+
     # cross-statement validation (statement order in the file is free)
     for name in rates:
         if name not in inits:
@@ -247,12 +281,7 @@ def parse_model(text: str) -> ModelSpec:
             raise MissingRoleError(f"missing role declaration for {role!r}")
 
     variables = tuple(VariableDef(name=n, rate=rates[n], init=v) for n, v in inits.items())
-    return ModelSpec(
-        variables=variables,
-        labor_var=roles["labor"],
-        capital_var=roles["capital"],
-        output_var=roles["output"],
-    )
+    return ModelSpec(variables, roles["labor"], roles["capital"], roles["output"])
 
 
 def render(spec: ModelSpec) -> str:
