@@ -76,7 +76,8 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
     `source` may be a path, an open text stream, or an open byte stream.
     Every structural problem (missing column, non-numeric cell, non-positive
     value, duplicate or non-consecutive year) is reported with the physical
-    row number where it occurs.
+    row number where it occurs.  Columns are matched with surrounding spaces
+    stripped from both names; each series keeps the name it was asked for.
     """
     if not value_cols:
         raise CsvFormatError("at least one value column is required")
@@ -90,9 +91,9 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
         header = [h.strip() for h in header]
         col_index: dict[str, int] = {}
         for col in [year_col, *value_cols]:
-            if col not in header:
+            if col.strip() not in header:
                 raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
-            col_index[col] = header.index(col)
+            col_index[col] = header.index(col.strip())
 
         years: list[int] = []
         columns: dict[str, list[float]] = {c: [] for c in value_cols}
