@@ -199,3 +199,16 @@ def test_write_then_load_round_trips_a_name_that_needs_quoting(name, tmp_path):
     assert (tmp_path / "out.csv").read_bytes().decode("utf-8") == buf.getvalue()
     back = load_series(tmp_path / "out.csv", "year", [name.strip(), "K"])
     assert [b.values for b in back] == [s.values, other.values]
+
+
+@pytest.mark.parametrize("name", [" padded,", "  L  ", "\tK,1 ", "line\nbreak "])
+def test_write_then_load_finds_a_series_under_its_exact_name(name, tmp_path):
+    s = make_series([106.65, 113.2], name=name)
+    other = make_series([1.0, 2.0], name="K")
+    buf = io.StringIO()
+    write_series([s, other], buf)
+    back = load_series(io.StringIO(buf.getvalue()), "year", [name, "K"])
+    assert [(b.name, b.values) for b in back] == [(name, s.values), ("K", other.values)]
+    write_series([s, other], tmp_path / "out.csv")
+    back = load_series(tmp_path / "out.csv", "year", [name, "K"])
+    assert [(b.name, b.values) for b in back] == [(name, s.values), ("K", other.values)]

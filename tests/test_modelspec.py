@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from prodfn import (
     render,
     to_model,
 )
+from prodfn import modelspec
+from prodfn.modelspec import ROLES
 
 DSL_DIR = Path(__file__).parent / "data" / "dsl"
 
@@ -321,3 +324,89 @@ def test_tokens_carry_line_and_column():
         (";", ";", 4, 16),
         ("eof", "", 4, 23),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the statement pattern and the token parser give the same results
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ModelSpecError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+def _token_path(text):
+    with mock.patch.object(modelspec, "_match_statements", lambda *dicts: False):
+        return parse_model(text)
+
+
+soup_names = st.sampled_from(["L", "K", "Y", "X1", "a_b", "var", "dt", "labor"])
+soup_numbers = st.sampled_from(["106.65", "-2", "+.5", "1.", "1e3", ".5E-2", "0", "1e400", "007"])
+soup_ws = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n"])
+soup_sep = st.sampled_from([" ", "\t", "\n", "\r\n", "  "])
+
+
+@st.composite
+def soup_statement(draw, name):
+    def ws():
+        return draw(soup_ws)
+
+    kind = draw(st.sampled_from(["var", "rate", "role", "comment"]))
+    if kind == "var":
+        return f"var{draw(soup_sep)}{name}{ws()}={ws()}{draw(soup_numbers)}{ws()};"
+    if kind == "rate":
+        rhs = draw(st.one_of(st.just(name), soup_names))  # sometimes off-diagonal
+        return f"d{name}{ws()}/{ws()}dt{ws()}={ws()}{draw(soup_numbers)}{ws()}*{ws()}{rhs}{ws()};"
+    if kind == "role":
+        role = draw(st.sampled_from([*ROLES, "labour"]))
+        return f"role{draw(soup_sep)}{role}{draw(soup_sep)}{name}{ws()};"
+    return "# note; var X = 1;" + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+@st.composite
+def statement_soups(draw):
+    trio = draw(st.lists(soup_names, min_size=3, max_size=3, unique=True))
+    stmts = [
+        s
+        for name, role in zip(trio, ROLES)
+        for s in (
+            f"var {name} = {draw(soup_numbers)};",
+            f"d{name}/dt = {draw(soup_numbers)} * {name};",
+            f"role {role} {name};",
+        )
+    ]
+    stmts = draw(st.permutations(stmts))
+    dropped = draw(st.sets(st.integers(0, len(stmts) - 1), max_size=2))  # missing roles, rates
+    stmts = [s for i, s in enumerate(stmts) if i not in dropped]
+    for _ in range(draw(st.integers(0, 2))):  # duplicates and stray statements
+        extra = draw(st.one_of(st.sampled_from(stmts or ["var L = 1;"]), soup_statement(draw(soup_names))))
+        stmts.insert(draw(st.integers(0, len(stmts))), extra)
+    text = draw(soup_ws) + "".join(s + draw(soup_ws) for s in stmts)
+    for _ in range(draw(st.integers(0, 2))):  # single-character edits
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(list("vardt/=*;#+-.eE019 \t\n\rLKYz_é")))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        text = text[:i] + ("" if edit == "delete" else ch) + text[i + (edit != "insert") :]
+    return text
+
+
+@given(statement_soups())
+@settings(max_examples=400)
+def test_statement_pattern_agrees_with_the_token_parser(text):
+    assert _outcome(parse_model, text) == _outcome(_token_path, text)
+
+
+def test_well_formed_text_does_not_reach_the_token_parser(monkeypatch):
+    def no_tokens(text):
+        raise AssertionError("token parser reached")
+
+    spec = parse_model(read("v_example.mdl"))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Model text format", 1)[1].split("```\n")[1]
+    monkeypatch.setattr(modelspec, "_tokenize", no_tokens)
+    assert parse_model(render(spec)) == spec
+    assert parse_model(example) == spec
+    with pytest.raises(AssertionError, match="token parser reached"):
+        parse_model("# a comment\n" + render(spec))
