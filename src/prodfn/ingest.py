@@ -76,7 +76,7 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
     `source` may be a path, an open text stream, or an open byte stream.
     Every structural problem (missing column, non-numeric cell, non-positive
     value, duplicate or non-consecutive year) is reported with the physical
-    row number where it occurs.  Columns are matched with surrounding spaces
+    row number where it occurs.  Columns are matched with surrounding whitespace
     stripped from both names; each series keeps the name it was asked for.
     """
     if not value_cols:
