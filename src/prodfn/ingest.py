@@ -11,10 +11,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
 
 from .core import ProdfnError
+
+_CHUNK_ROWS = 4096  # records converted and checked a column at a time
 
 
 class CsvFormatError(ProdfnError):
@@ -47,14 +50,16 @@ class TimeSeries:
             raise CsvFormatError(
                 f"series {self.name!r}: base_year {self.base_year} != first year {self.years[0]}"
             )
-        for prev, cur in zip(self.years, self.years[1:]):
-            if cur != prev + 1:
-                raise CsvFormatError(
-                    f"series {self.name!r}: years must be consecutive, got {prev} then {cur}"
-                )
-        for year, v in zip(self.years, self.values):
-            if not (math.isfinite(v) and v > 0.0):
-                raise CsvFormatError(f"series {self.name!r}: value at {year} must be positive, got {v!r}")
+        if self.years != tuple(range(self.base_year, self.base_year + len(self.years))):
+            for prev, cur in zip(self.years, self.years[1:]):
+                if cur != prev + 1:
+                    raise CsvFormatError(
+                        f"series {self.name!r}: years must be consecutive, got {prev} then {cur}"
+                    )
+        if not (all(map(math.isfinite, self.values)) and min(self.values) > 0.0):
+            for year, v in zip(self.years, self.values):
+                if not (math.isfinite(v) and v > 0.0):
+                    raise CsvFormatError(f"series {self.name!r}: value at {year} must be positive, got {v!r}")
 
     def __len__(self) -> int:
         return len(self.years)
@@ -97,37 +102,25 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
 
         years: list[int] = []
         columns: dict[str, list[float]] = {c: [] for c in value_cols}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue  # ignore blank lines
-            if len(row) <= max(col_index.values()):
-                raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-            raw_year = row[col_index[year_col]].strip()
-            try:
-                year = int(raw_year)
-            except ValueError:
-                raise CsvFormatError(f"non-integer year {raw_year!r}", row=row_no) from None
-            if years:
-                if year == years[-1]:
-                    raise CsvFormatError(f"duplicate year {year}", row=row_no)
-                if year != years[-1] + 1:
-                    raise CsvFormatError(
-                        f"non-consecutive year {year} after {years[-1]}", row=row_no
-                    )
-            years.append(year)
-            for col in value_cols:
-                raw = row[col_index[col]].strip()
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"non-numeric value {raw!r} in column {col!r}", row=row_no
-                    ) from None
-                if not (math.isfinite(v) and v > 0.0):
-                    raise CsvFormatError(
-                        f"non-positive value {raw!r} in column {col!r}", row=row_no
-                    )
-                columns[col].append(v)
+        row_no = 2
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            try:  # a short row, a cell that int() or float() rejects, or an all-blank chunk
+                cells = list(zip(*[row for row in chunk if "".join(row).strip()]))
+                new_years = list(map(int, cells[col_index[year_col]]))
+                new_values = [list(map(float, cells[col_index[col]])) for col in value_cols]
+                first = years[-1] + 1 if years else new_years[0]
+                fast = new_years == list(range(first, first + len(new_years))) and all(
+                    all(map(math.isfinite, values)) and min(values) > 0.0 for values in new_values
+                )
+            except (IndexError, ValueError):
+                fast = False
+            if not fast:  # the row walk names the first fault, or accepts cells strip() mends
+                _walk_rows(chunk, row_no, header, col_index, year_col, value_cols, years, columns)
+            else:
+                years += new_years
+                for col, values in zip(value_cols, new_values):
+                    columns[col] += values
+            row_no += len(chunk)
         if not years:
             raise CsvFormatError("no data rows")
     finally:
@@ -138,6 +131,35 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
         TimeSeries(name=col, base_year=years[0], years=tuple(years), values=tuple(columns[col]))
         for col in value_cols
     ]
+
+
+def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, columns) -> None:
+    """Check `rows` one by one from physical row `row_no`: raise at the first fault, or append them."""
+    for row_no, row in enumerate(rows, start=row_no):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue  # ignore blank lines
+        if len(row) <= max(col_index.values()):
+            raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+        raw_year = row[col_index[year_col]].strip()
+        try:
+            year = int(raw_year)
+        except ValueError:
+            raise CsvFormatError(f"non-integer year {raw_year!r}", row=row_no) from None
+        if years:
+            if year == years[-1]:
+                raise CsvFormatError(f"duplicate year {year}", row=row_no)
+            if year != years[-1] + 1:
+                raise CsvFormatError(f"non-consecutive year {year} after {years[-1]}", row=row_no)
+        years.append(year)
+        for col in value_cols:
+            raw = row[col_index[col]].strip()
+            try:
+                v = float(raw)
+            except ValueError:
+                raise CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no) from None
+            if not (math.isfinite(v) and v > 0.0):
+                raise CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
+            columns[col].append(v)
 
 
 def normalize_base100(series: TimeSeries) -> TimeSeries:
@@ -196,8 +218,11 @@ def _write_csv(dest, header: Sequence[str], columns) -> None:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
-        for row in zip(*[map(_fmt_float, map(float, col)) for col in columns]):
-            stream.write(",".join(row) + "\n")
+        fmt = ",".join(["%.17g"] * len(columns)) + "\n"  # "%.17g" % x prints format(x, ".17g")
+        for row in zip(*columns):
+            if "n" in (text := fmt % row):  # no finite number prints an "n"; "inf" and "nan" do
+                list(map(_fmt_float, map(float, row)))  # raises at the first of them
+            stream.write(text)
     finally:
         if owns:
             stream.close()
