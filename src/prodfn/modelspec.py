@@ -8,7 +8,8 @@ to end of line; every statement ends with ';'):
                  | "d" IDENT "/dt" "=" NUMBER "*" IDENT ";"
                  | "role" ("labor" | "capital" | "output") IDENT ";"
     IDENT      ::= [A-Za-z][A-Za-z0-9_]*
-    NUMBER     ::= decimal literal with optional sign, fraction, exponent
+    NUMBER     ::= decimal literal with optional sign, fraction, exponent,
+                   finite as a float
 
 Example:
 
@@ -166,6 +167,13 @@ class _Parser:
             raise ModelSyntaxError(f"expected {what}, got {got}", tok.line, tok.col)
         return tok
 
+    def number(self) -> float:
+        tok = self.expect("number", "a number")
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ModelSyntaxError(f"number {tok.text!r} overflows a float", tok.line, tok.col)
+        return value
+
 
 def _match_statements(text: str, inits: dict, rates: dict, roles: dict) -> bool:
     """Fill the dicts from well-formed text; False where the token parser must decide."""
@@ -173,10 +181,13 @@ def _match_statements(text: str, inits: dict, rates: dict, roles: dict) -> bool:
     while m := _STATEMENT_RE.match(text, pos):
         pos = m.end()
         name, init, d, rate, rhs, role, bound = m.groups()
+        number = float(init or rate or 0.0)
+        if not math.isfinite(number):
+            return False
         if name is not None and name not in inits:
-            inits[name] = float(init)
+            inits[name] = number
         elif d is not None and rhs == d and d not in rates:
-            rates[d] = float(rate)
+            rates[d] = number
         elif role is not None and role not in roles and bound not in roles.values():
             roles[role] = bound
         else:
@@ -192,13 +203,13 @@ def _parse_tokens(text: str, inits: dict, rates: dict, roles: dict) -> None:
         if tok.text == "var":
             name_tok = p.expect("ident", "a variable name")
             p.expect("=", "'='")
-            num = p.expect("number", "a number")
+            value = p.number()
             p.expect(";", "';'")
             if name_tok.text in inits:
                 raise DuplicateDeclarationError(
                     f"variable {name_tok.text!r} declared twice", name_tok.line, name_tok.col
                 )
-            inits[name_tok.text] = float(num.text)
+            inits[name_tok.text] = value
         elif tok.text == "role":
             kind_tok = p.expect("ident", "'labor', 'capital' or 'output'")
             if kind_tok.text not in ROLES:
@@ -228,7 +239,7 @@ def _parse_tokens(text: str, inits: dict, rates: dict, roles: dict) -> None:
             if dt.text != "dt":
                 raise ModelSyntaxError(f"expected 'dt', got {dt.text!r}", dt.line, dt.col)
             p.expect("=", "'='")
-            num = p.expect("number", "a number")
+            value = p.number()
             p.expect("*", "'*'")
             rhs = p.expect("ident", "a variable name")
             p.expect(";", "';'")
@@ -242,7 +253,7 @@ def _parse_tokens(text: str, inits: dict, rates: dict, roles: dict) -> None:
                 raise DuplicateDeclarationError(
                     f"rate equation for {name!r} declared twice", tok.line, tok.col
                 )
-            rates[name] = float(num.text)
+            rates[name] = value
         else:
             raise ModelSyntaxError(
                 f"expected 'var', 'role', or 'd<NAME>/dt', got {tok.text!r}",
