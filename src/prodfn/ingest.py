@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 from .core import ProdfnError
 
-_CHUNK_ROWS = 4096  # records converted and checked a column at a time
+_CHUNK_ROWS = 1024  # records converted and checked at once; larger chunks raise peak RSS
 
 
 class CsvFormatError(ProdfnError):
