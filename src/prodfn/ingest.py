@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
+from operator import eq
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -50,7 +51,7 @@ class TimeSeries:
             raise CsvFormatError(
                 f"series {self.name!r}: base_year {self.base_year} != first year {self.years[0]}"
             )
-        if self.years != tuple(range(self.base_year, self.base_year + len(self.years))):
+        if not all(map(eq, self.years, range(self.base_year, self.base_year + len(self.years)))):
             for prev, cur in zip(self.years, self.years[1:]):
                 if cur != prev + 1:
                     raise CsvFormatError(
@@ -109,7 +110,7 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
                 new_years = list(map(int, cells[col_index[year_col]]))
                 new_values = [list(map(float, cells[col_index[col]])) for col in value_cols]
                 first = years[-1] + 1 if years else new_years[0]
-                fast = new_years == list(range(first, first + len(new_years))) and all(
+                fast = all(map(eq, new_years, range(first, first + len(new_years)))) and all(
                     all(map(math.isfinite, values)) and min(values) > 0.0 for values in new_values
                 )
             except (IndexError, ValueError):
