@@ -1,10 +1,14 @@
+import csv
 import io
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prodfn import CsvFormatError, TimeSeries, load_series, normalize_base100, write_series
+from prodfn import CsvFormatError, TimeSeries, ingest, load_series, normalize_base100, write_series
 
 positive_values = st.lists(
     st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -104,6 +108,90 @@ def test_empty_input_and_header_only():
 
 
 # ---------------------------------------------------------------------------
+# the column-at-a-time reader against the row walk alone
+
+
+def _row_walk(text, value_cols):
+    """load_series over a "year,..." header with every record checked by the row walk."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader)]
+    col_index = {c: header.index(c) for c in ["year", *value_cols]}
+    years, columns = [], {c: [] for c in value_cols}
+    ingest._walk_rows(reader, 2, header, col_index, "year", value_cols, years, columns)
+    if not years:
+        raise CsvFormatError("no data rows")
+    return [TimeSeries(c, years[0], tuple(years), tuple(columns[c])) for c in value_cols]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CsvFormatError as exc:
+        return type(exc), str(exc), exc.row
+
+
+pads = st.sampled_from(["", "", " ", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"])
+odd_cells = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1_0", "n/a", "", "1e400", "5e-324", "+7.5"])
+row_kinds = st.sampled_from(["good"] * 5 + ["odd"] * 3 + ["blank", "spaces", "short", "duplicate", "gap", "newline"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A "year,L,K" file: mostly good records, mixed with blank, padded, short and faulty ones."""
+    year = draw(st.integers(1, 3000))  # the next consecutive year
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["year", "L", "K"])
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(row_kinds)
+        if kind == "blank":
+            out.writerow([])
+            continue
+        if kind == "spaces":
+            out.writerow(draw(st.lists(pads, min_size=1, max_size=3)))
+            continue
+        year += {"duplicate": -1, "gap": 1}.get(kind, 0)
+        cells = [f"{draw(pads)}{year}{draw(pads)}"]
+        if kind != "short":
+            cells += [f"{draw(pads)}{draw(st.floats(1e-300, 1e300))!r}{draw(pads)}" for _ in "LK"]
+        if kind == "odd":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(odd_cells)
+        if kind == "newline":  # a quoted cell spanning two lines: rows count records, not lines
+            cells[draw(st.integers(0, len(cells) - 1))] += "\n"
+        out.writerow(cells)
+        year += 1
+    return buf.getvalue()
+
+
+@given(text=csv_texts(), chunk_rows=st.sampled_from([1, 2, 3, 5, 4096]), cols=st.sampled_from([["L", "K"], ["K"]]))
+@example(text="year,L,K\n1899,\x1c1.5,2\n1900,3,4\x1f\n", chunk_rows=4096, cols=["L", "K"])
+@example(text="year,L,K\n1899,1,1\n1900,2,nan\n1901,inf,1\n", chunk_rows=4096, cols=["L", "K"])
+@example(text="year,L,K\n1899,1,1\n\n1900,2,2\n1900,0,2\n", chunk_rows=2, cols=["L", "K"])
+@settings(max_examples=400)
+def test_chunked_load_agrees_with_the_row_walk(text, chunk_rows, cols):
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        got = _outcome(load_series, io.StringIO(text), "year", cols)
+    assert got == _outcome(_row_walk, text, cols)
+
+
+def test_padding_that_float_rejects_is_read_through_the_row_walk():
+    (s,) = load_series(io.StringIO("year,L\n\x1c1899\x1d,\x1e1.5\x1f\n1900,2\n"), "year", ["L"])
+    assert s.years == (1899, 1900) and s.values == (1.5, 2.0)
+
+
+@pytest.mark.parametrize("cell, fault", [("0", "non-positive value '0'"), ("x", "non-numeric value 'x'")])
+def test_a_fault_in_the_second_chunk_names_its_row(cell, fault):
+    bad = ingest._CHUNK_ROWS + 7  # a record of the second chunk; the header is row 1
+    rows = [f"{1000 + i},{cell if i == bad else 1.5}\n" for i in range(2 * ingest._CHUNK_ROWS)]
+    text = "year,L\n" + "".join(rows)
+    message = f"row {bad + 2}: {fault} in column 'L'"
+    with pytest.raises(CsvFormatError) as ei:
+        load_series(io.StringIO(text), "year", ["L"])
+    assert str(ei.value) == message and ei.value.row == bad + 2
+    assert _outcome(_row_walk, text, ["L"]) == (CsvFormatError, message, bad + 2)
+
+
+# ---------------------------------------------------------------------------
 # TimeSeries invariants
 
 
@@ -120,6 +208,36 @@ def test_series_requires_matching_base_year():
 def test_series_requires_positive_values():
     with pytest.raises(CsvFormatError):
         make_series([1.0, 0.0])
+
+
+def _first_series_fault(years, values):
+    """The message of the first broken rule, walking the series as TimeSeries once always did."""
+    for prev, cur in zip(years, years[1:]):
+        if cur != prev + 1:
+            return f"series 'x': years must be consecutive, got {prev} then {cur}"
+    for year, v in zip(years, values):
+        if not (math.isfinite(v) and v > 0.0):
+            return f"series 'x': value at {year} must be positive, got {v!r}"
+    return None
+
+
+@given(
+    steps=st.lists(st.sampled_from([1] * 6 + [0, 2, -1]), max_size=12),
+    values=st.lists(st.sampled_from([1.0, 2.5, 5e-324, 1e308, 0.0, -0.0, -1.0, math.inf, math.nan]), min_size=13),
+)
+@settings(max_examples=300)
+def test_series_check_names_the_first_fault(steps, values):
+    years = [1899]
+    for step in steps:
+        years.append(years[-1] + step)
+    years, values = tuple(years), tuple(values[: len(years)])
+    message = _first_series_fault(years, values)
+    try:
+        TimeSeries(name="x", base_year=1899, years=years, values=values)
+    except CsvFormatError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +330,45 @@ def test_write_then_load_finds_a_series_under_its_exact_name(name, tmp_path):
     write_series([s, other], tmp_path / "out.csv")
     back = load_series(tmp_path / "out.csv", "year", [name, "K"])
     assert [(b.name, b.values) for b in back] == [(name, s.values), ("K", other.values)]
+
+
+# ---------------------------------------------------------------------------
+# _write_csv bytes
+
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 0.1, 1e16, 1e308, -1e308]),
+)
+rows_of_cells = st.lists(st.tuples(st.integers(-(10**6), 10**6), cells, cells), max_size=20)
+
+
+def _per_cell(rows):
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
+
+
+@given(rows=rows_of_cells)
+@settings(max_examples=300)
+def test_write_csv_prints_each_cell_as_format_17g(rows):
+    columns = tuple(zip(*rows)) if rows else ((), (), ())
+    buf = io.StringIO()
+    ingest._write_csv(buf, ("year", "a", "b"), columns)
+    assert buf.getvalue() == "year,a,b\n" + _per_cell(rows)
+    buf = io.StringIO()
+    ingest._write_csv(buf, ("t", "a", "b"), tuple(np.array(col, dtype=np.float64) for col in columns))
+    assert buf.getvalue() == "t,a,b\n" + _per_cell([tuple(map(float, row)) for row in rows])
+
+
+@given(rows=rows_of_cells, k=st.integers(0, 20), bad=st.sampled_from([math.inf, -math.inf, math.nan]), col=st.integers(1, 2))
+@settings(max_examples=200)
+def test_write_csv_stops_before_a_non_finite_row(rows, k, bad, col):
+    k = min(k, len(rows))
+    row = list(rows[k]) if k < len(rows) else [1, 1.0, 1.0]
+    row[col] = bad
+    if col == 1 and bad == math.inf:
+        row[2] = math.nan  # only the first non-finite cell of the row is named
+    rows = [*rows[:k], tuple(row), *rows[k:]]
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as ei:
+        ingest._write_csv(buf, ("year", "a", "b"), tuple(zip(*rows)))
+    assert str(ei.value) == f"cannot serialize non-finite float {bad!r}"
+    assert buf.getvalue() == "year,a,b\n" + _per_cell(rows[:k])

@@ -196,6 +196,36 @@ def test_render_parse_identity(trio, rates, inits):
     assert parse_model(render(spec)) == spec
 
 
+literals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e999", "1.7976931348623159e308", "1.7976931348623157e308", "1e-400", "-0.0"]),
+)
+
+
+@given(trio=st.lists(names, min_size=3, max_size=3, unique=True), lits=st.lists(literals, min_size=6, max_size=6))
+@settings(max_examples=300)
+def test_parsed_spec_renders_back_or_an_overflowing_literal_is_named(trio, lits):
+    lines = [
+        (f"var {n} = ", lits[i], f"; d{n}/dt = ", lits[i + 3], f" * {n}; role {role} {n};")
+        for i, (n, role) in enumerate(zip(trio, ROLES))
+    ]
+    text = "".join("".join(parts) + "\n" for parts in lines)
+    try:
+        spec = parse_model(text)
+    except ModelSyntaxError as exc:
+        line, lit, col = next(
+            (i + 1, parts[k], len("".join(parts[:k])) + 1)
+            for i, parts in enumerate(lines)
+            for k in (1, 3)
+            if not math.isfinite(float(parts[k]))
+        )
+        assert str(exc) == f"line {line}, col {col}: number {lit!r} overflows a float"
+        assert _outcome(_token_path, text) == _outcome(parse_model, text)
+    else:
+        assert all(math.isfinite(float(lit)) for lit in lits)
+        assert parse_model(render(spec)) == spec
+
+
 def test_to_model_unit_inits():
     spec = parse_model(read("v_flat.mdl"))
     m = to_model(spec)
@@ -295,6 +325,8 @@ def test_parse_never_crashes_on_text(text):
         ("var L = 1; # c\r\n\tvar K 2;", "line 2, col 8: expected '=', got '2'", 2, 8),
         ("var L = 1\n# no semicolon\n", "line 3, col 1: expected ';', got end of input", 3, 1),
         ("var L = 1 # c", "line 1, col 14: expected ';', got end of input", 1, 14),
+        ("var L = 1e400;", "line 1, col 9: number '1e400' overflows a float", 1, 9),
+        ("var L = 1;\r\n  dL/dt = -1e999 * L;", "line 2, col 11: number '-1e999' overflows a float", 2, 11),
     ],
 )
 def test_error_positions_on_multiline_text(text, message, line, col):
