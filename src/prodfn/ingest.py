@@ -22,7 +22,8 @@ _CHUNK_ROWS = 1024  # records converted and checked at once; larger chunks raise
 
 
 class CsvFormatError(ProdfnError):
-    """Malformed CSV input.  `row` is the 1-based physical row (header is row 1)."""
+    """Malformed CSV input.  `row` is the 1-based CSV record number: the header is row 1,
+    and a quoted cell spanning lines is one record."""
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row
@@ -81,9 +82,13 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
 
     `source` may be a path, an open text stream, or an open byte stream.
     Every structural problem (missing column, non-numeric cell, non-positive
-    value, duplicate or non-consecutive year) is reported with the physical
-    row number where it occurs.  Columns are matched with surrounding whitespace
-    stripped from both names; each series keeps the name it was asked for.
+    value, duplicate or non-consecutive year) is reported with the number of
+    the record where it occurs: the header is row 1, and a quoted cell spanning
+    lines is one record.  Input the csv module cannot split into records (a
+    cell over its field size limit, a bare carriage return inside an unquoted
+    cell) is reported with the line where reading stopped.  Columns are matched
+    with surrounding whitespace stripped from both names; each series keeps the
+    name it was asked for.
     """
     if not value_cols:
         raise CsvFormatError("at least one value column is required")
@@ -124,6 +129,8 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
             row_no += len(chunk)
         if not years:
             raise CsvFormatError("no data rows")
+    except csv.Error as exc:  # a cell over the field size limit, a bare '\r' in an unquoted cell
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     finally:
         if owns:
             stream.close()
@@ -135,7 +142,7 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
 
 
 def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, columns) -> None:
-    """Check `rows` one by one from physical row `row_no`: raise at the first fault, or append them."""
+    """Check `rows` one by one from record `row_no`: raise at the first fault, or append them."""
     for row_no, row in enumerate(rows, start=row_no):
         if not row or all(cell.strip() == "" for cell in row):
             continue  # ignore blank lines

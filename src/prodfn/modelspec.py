@@ -21,8 +21,13 @@ A file must declare exactly three variables, give each a rate equation that
 references only the variable itself (the system is diagonal), and bind the
 three roles to three distinct variables.  Parsing is total: any input either
 yields a ModelSpec or raises a ModelSpecError subclass carrying a position.
-Well-formed text is read by one statement pattern and all other text by the
-token parser, so every result and error is the one the token parser gives.
+
+Comments are blanked to spaces, so every offset stays put, and one statement
+pattern reads the text a statement at a time, checking each statement's rules
+as it goes.  Errors are worked out only on failure: the whole text is then
+tokenized, so a lexical error anywhere comes first, and a statement the
+pattern rejects is walked token by token against its form to name the token
+that breaks the grammar.
 """
 
 from __future__ import annotations
@@ -108,12 +113,14 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# One well-formed statement and the whitespace around it.
+# One well-formed statement and the whitespace before it.  A rate name is any
+# run of identifier characters, as the token grammar reads `d1/dt`.
 _STATEMENT_RE = re.compile(
     rf"\s*(?:var\s+(?P<var>{_IDENT})\s*=\s*(?P<init>{_NUMBER})\s*;"
-    rf"|d(?P<d>{_IDENT})\s*/\s*dt\s*=\s*(?P<rate>{_NUMBER})\s*\*\s*(?P<rhs>{_IDENT})\s*;"
-    rf"|role\s+(?P<role>labor|capital|output)\s+(?P<bound>{_IDENT})\s*;)\s*"
+    rf"|d(?P<d>[A-Za-z0-9_]+)\s*/\s*dt\s*=\s*(?P<rate>{_NUMBER})\s*\*\s*(?P<rhs>{_IDENT})\s*;"
+    rf"|role\s+(?P<role>labor|capital|output)\s+(?P<bound>{_IDENT})\s*;)"
 )
+_COMMENT_RE = re.compile(r"#[^\n]*")
 
 
 class _Token(NamedTuple):
@@ -146,120 +153,50 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+# The tokens after each statement form's first one: (kind, texts allowed or None, what is expected).
+_NAME = ("ident", None, "a variable name")
+_EQ, _NUM, _END = ("=", None, "'='"), ("number", None, "a number"), (";", None, "';'")
+_FORMS = {
+    "var": (_NAME, _EQ, _NUM, _END),
+    "role": (("ident", ROLES, "'labor', 'capital' or 'output'"), _NAME, _END),
+    "rate": (("/", None, "'/'"), ("ident", ("dt",), "'dt'"), _EQ, _NUM, ("*", None, "'*'"), _NAME, _END),
+}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+def _at(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos`, counted as `_tokenize` counts them."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
+
+def _error(cls: type[ModelSpecError], message: str, text: str, pos: int) -> ModelSpecError:
+    """`cls` at offset `pos`, unless a lexical error anywhere in the text comes first."""
+    _tokenize(text)
+    return cls(message, *_at(text, pos))
+
+
+def _syntax_error(text: str, pos: int) -> ModelSyntaxError:
+    """The error of the statement at offset `pos`: its first token that breaks its form,
+    or its number if that overflows a float.  A lexical error anywhere in the text
+    is raised instead.  `_STATEMENT_RE` matches every statement that fits its form,
+    so a statement it rejects always has such a token.
+    """
+    tokens = _tokenize(text)
+    at = _at(text, pos)
+    i = next(i for i, tok in enumerate(tokens) if (tok.line, tok.col) >= at)
+    head = tokens[i]
+    if head.text in ("var", "role"):
+        form = _FORMS[head.text]
+    elif head.text.startswith("d") and len(head.text) > 1 and tokens[i + 1].kind == "/":
+        form = _FORMS["rate"]
+    else:
+        message = f"expected 'var', 'role', or 'd<NAME>/dt', got {head.text!r}"
+        return ModelSyntaxError(message, head.line, head.col)
+    for tok, (kind, texts, what) in zip(tokens[i + 1 :], form):
+        if tok.kind != kind or (texts and tok.text not in texts):
             got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise ModelSyntaxError(f"expected {what}, got {got}", tok.line, tok.col)
-        return tok
-
-    def number(self) -> float:
-        tok = self.expect("number", "a number")
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ModelSyntaxError(f"number {tok.text!r} overflows a float", tok.line, tok.col)
-        return value
-
-
-def _match_statements(text: str, inits: dict, rates: dict, roles: dict) -> bool:
-    """Fill the dicts from well-formed text; False where the token parser must decide."""
-    pos = 0
-    while m := _STATEMENT_RE.match(text, pos):
-        pos = m.end()
-        name, init, d, rate, rhs, role, bound = m.groups()
-        number = float(init or rate or 0.0)
-        if not math.isfinite(number):
-            return False
-        if name is not None and name not in inits:
-            inits[name] = number
-        elif d is not None and rhs == d and d not in rates:
-            rates[d] = number
-        elif role is not None and role not in roles and bound not in roles.values():
-            roles[role] = bound
-        else:
-            return False
-    return pos == len(text)
-
-
-def _parse_tokens(text: str, inits: dict, rates: dict, roles: dict) -> None:
-    """Fill the dicts statement by statement; raise at the first syntax or statement error."""
-    p = _Parser(_tokenize(text))
-    while p.peek().kind != "eof":
-        tok = p.expect("ident", "'var', 'role', or 'd<NAME>/dt'")
-        if tok.text == "var":
-            name_tok = p.expect("ident", "a variable name")
-            p.expect("=", "'='")
-            value = p.number()
-            p.expect(";", "';'")
-            if name_tok.text in inits:
-                raise DuplicateDeclarationError(
-                    f"variable {name_tok.text!r} declared twice", name_tok.line, name_tok.col
-                )
-            inits[name_tok.text] = value
-        elif tok.text == "role":
-            kind_tok = p.expect("ident", "'labor', 'capital' or 'output'")
-            if kind_tok.text not in ROLES:
-                raise ModelSyntaxError(
-                    f"expected 'labor', 'capital' or 'output', got {kind_tok.text!r}",
-                    kind_tok.line,
-                    kind_tok.col,
-                )
-            var_tok = p.expect("ident", "a variable name")
-            p.expect(";", "';'")
-            if kind_tok.text in roles:
-                raise DuplicateDeclarationError(
-                    f"role {kind_tok.text!r} declared twice", kind_tok.line, kind_tok.col
-                )
-            bound = [role for role, name in roles.items() if name == var_tok.text]
-            if bound:
-                raise DuplicateDeclarationError(
-                    f"variable {var_tok.text!r} bound to both {bound[0]!r} and {kind_tok.text!r}",
-                    var_tok.line,
-                    var_tok.col,
-                )
-            roles[kind_tok.text] = var_tok.text
-        elif tok.text.startswith("d") and len(tok.text) > 1 and p.peek().kind == "/":
-            name = tok.text[1:]
-            p.next()  # '/'
-            dt = p.expect("ident", "'dt'")
-            if dt.text != "dt":
-                raise ModelSyntaxError(f"expected 'dt', got {dt.text!r}", dt.line, dt.col)
-            p.expect("=", "'='")
-            value = p.number()
-            p.expect("*", "'*'")
-            rhs = p.expect("ident", "a variable name")
-            p.expect(";", "';'")
-            if rhs.text != name:
-                raise OffDiagonalRateError(
-                    f"d{name}/dt references {rhs.text!r}: only {name!r} itself is allowed",
-                    rhs.line,
-                    rhs.col,
-                )
-            if name in rates:
-                raise DuplicateDeclarationError(
-                    f"rate equation for {name!r} declared twice", tok.line, tok.col
-                )
-            rates[name] = value
-        else:
-            raise ModelSyntaxError(
-                f"expected 'var', 'role', or 'd<NAME>/dt', got {tok.text!r}",
-                tok.line,
-                tok.col,
-            )
+            return ModelSyntaxError(f"expected {what}, got {got}", tok.line, tok.col)
+        if kind == "number" and not math.isfinite(float(tok.text)):
+            return ModelSyntaxError(f"number {tok.text!r} overflows a float", tok.line, tok.col)
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -271,11 +208,59 @@ def parse_model(text: str) -> ModelSpec:
     inits: dict[str, float] = {}
     rates: dict[str, float] = {}
     roles: dict[str, str] = {}
-    if not _match_statements(text, inits, rates, roles):
-        inits, rates, roles = {}, {}, {}
-        _parse_tokens(text, inits, rates, roles)
+    # a comment becomes spaces, so every offset stays where it was
+    blanked = _COMMENT_RE.sub(lambda m: " " * len(m.group()), text) if "#" in text else text
+    pos, end = 0, len(blanked.rstrip())
+    while pos < end:
+        m = _STATEMENT_RE.match(blanked, pos)
+        if m is None:
+            raise _syntax_error(text, pos)
+        name, init, d, rate, rhs, role, bound = m.groups()
+        number = float(init or rate or 0.0)
+        if not math.isfinite(number):
+            raise _syntax_error(text, pos)
+        pos = m.end()
+        if name is not None:
+            if name in inits:
+                raise _error(
+                    DuplicateDeclarationError, f"variable {name!r} declared twice", text, m.start("var")
+                )
+            inits[name] = number
+        elif d is not None:
+            if rhs != d:
+                raise _error(
+                    OffDiagonalRateError,
+                    f"d{d}/dt references {rhs!r}: only {d!r} itself is allowed",
+                    text,
+                    m.start("rhs"),
+                )
+            if d in rates:
+                raise _error(
+                    DuplicateDeclarationError,
+                    f"rate equation for {d!r} declared twice",
+                    text,
+                    m.start("d") - 1,  # the 'd' of d<NAME>
+                )
+            rates[d] = number
+        else:
+            if role in roles:
+                raise _error(
+                    DuplicateDeclarationError, f"role {role!r} declared twice", text, m.start("role")
+                )
+            for other, taken in roles.items():
+                if taken == bound:
+                    raise _error(
+                        DuplicateDeclarationError,
+                        f"variable {bound!r} bound to both {other!r} and {role!r}",
+                        text,
+                        m.start("bound"),
+                    )
+            roles[role] = bound
+    return _spec(inits, rates, roles)
 
-    # cross-statement validation (statement order in the file is free)
+
+def _spec(inits: dict[str, float], rates: dict[str, float], roles: dict[str, str]) -> ModelSpec:
+    """Check what no single statement decides; statement order in the file is free."""
     for name in rates:
         if name not in inits:
             raise UnknownVariableError(f"rate equation for undeclared variable {name!r}")

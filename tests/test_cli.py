@@ -115,6 +115,17 @@ def test_fit_reports_csv_errors(tmp_path, capsys):
     assert "row 2" in payload["error"]["message"]
 
 
+def test_fit_reports_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    csv = tmp_path / "big.csv"
+    csv.write_text("year,L,K,Y\n1899,1,1," + "1" * 140_000 + "\n")
+    code, out, err = run(capsys, *fit_args(csv))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": {"type": "CsvFormatError", "message": "line 2: field larger than field limit (131072)"}
+    }
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, *fit_args(tmp_path / "nope.csv"))
     assert code == 3

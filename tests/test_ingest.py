@@ -107,6 +107,23 @@ def test_empty_input_and_header_only():
         load_series(io.StringIO("year,L\n"), "year", ["L"])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("year,L\n1899,100\n1900,1" + "0" * csv.field_size_limit() + "\n", "line 3: field larger than field limit"),
+        ('year,L\n1899,"1\n00"\n1900,1' + "0" * csv.field_size_limit() + "\n", "line 4: field larger than field limit"),
+        ("year," + "L" * (csv.field_size_limit() + 1) + "\n1899,100\n", "line 1: field larger than field limit"),
+        ("year,L\n1899,100\n1900,1\r05\n", "line 3: new-line character seen in unquoted field"),
+    ],
+    ids=["long-cell", "long-cell-after-a-quoted-newline", "long-header", "bare-carriage-return"],
+)
+def test_input_the_csv_module_cannot_split_names_its_line(text, message):
+    with pytest.raises(CsvFormatError) as ei:
+        load_series(io.StringIO(text), "year", ["L"])
+    assert str(ei.value).startswith(message)
+    assert ei.value.row is None
+
+
 # ---------------------------------------------------------------------------
 # the column-at-a-time reader against the row walk alone
 
