@@ -202,6 +202,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model_source(path: str, *, kind: str = "auto") -> ExponentialModel:

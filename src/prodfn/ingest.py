@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from operator import eq
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .core import ProdfnError
 
@@ -67,107 +68,105 @@ class TimeSeries:
         return len(self.years)
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Return (text stream, owns_handle) for a path, text stream or byte stream."""
+@contextmanager
+def _text_stream(source, mode: str) -> Iterator[IO[str]]:
+    """Yield `source` as text: a path is opened and closed here, a byte stream wrapped and
+    detached afterwards, so it stays open, and anything else is taken as a text stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        with open(source, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # flushes; a detached wrapper cannot close `source`
+    else:
+        yield source
 
 
 def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSeries]:
     """Read one TimeSeries per value column from a CSV with a header row.
 
-    `source` may be a path, an open text stream, or an open byte stream.
-    Every structural problem (missing column, non-numeric cell, non-positive
-    value, duplicate or non-consecutive year) is reported with the number of
-    the record where it occurs: the header is row 1, and a quoted cell spanning
-    lines is one record.  Input the csv module cannot split into records (a
-    cell over its field size limit, a bare carriage return inside an unquoted
-    cell) is reported with the line where reading stopped.  Columns are matched
-    with surrounding whitespace stripped from both names; each series keeps the
-    name it was asked for.
+    `source` may be a path, an open text stream, or an open byte stream; a stream is
+    left open.  One pass per needed column accepts 1,024 records at a time, each cell
+    stripped of surrounding whitespace and blank records skipped.  A chunk it rejects is
+    walked only to name its first faulty record (short record, non-numeric cell, non-positive
+    value, duplicate or non-consecutive year); that error and a missing column carry the record
+    number: the header is row 1, and a quoted cell spanning lines is one record.  Input the
+    csv module cannot split into records (a cell over its field size limit, a bare carriage
+    return in an unquoted cell) is reported with the line where reading stopped.  Column
+    names are matched stripped; each series keeps the name it was asked for.
     """
     if not value_cols:
         raise CsvFormatError("at least one value column is required")
-    stream, owns = _open_text(source)
-    try:
+    with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty input: missing header row", row=1) from None
-        header = [h.strip() for h in header]
-        col_index: dict[str, int] = {}
-        for col in [year_col, *value_cols]:
-            if col.strip() not in header:
-                raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
-            col_index[col] = header.index(col.strip())
-
-        years: list[int] = []
-        columns: dict[str, list[float]] = {c: [] for c in value_cols}
-        row_no = 2
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            try:  # a short row, a cell that int() or float() rejects, or an all-blank chunk
-                cells = list(zip(*[row for row in chunk if "".join(row).strip()]))
-                new_years = list(map(int, cells[col_index[year_col]]))
-                new_values = [list(map(float, cells[col_index[col]])) for col in value_cols]
-                first = years[-1] + 1 if years else new_years[0]
-                fast = all(map(eq, new_years, range(first, first + len(new_years)))) and all(
-                    all(map(math.isfinite, values)) and min(values) > 0.0 for values in new_values
-                )
-            except (IndexError, ValueError):
-                fast = False
-            if not fast:  # the row walk names the first fault, or accepts cells strip() mends
-                _walk_rows(chunk, row_no, header, col_index, year_col, value_cols, years, columns)
-            else:
-                years += new_years
-                for col, values in zip(value_cols, new_values):
-                    columns[col] += values
-            row_no += len(chunk)
-        if not years:
-            raise CsvFormatError("no data rows")
-    except csv.Error as exc:  # a cell over the field size limit, a bare '\r' in an unquoted cell
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
-    finally:
-        if owns:
-            stream.close()
-
+            if (header := next(reader, None)) is None:
+                raise CsvFormatError("empty input: missing header row", row=1)
+            header = [h.strip() for h in header]
+            for col in [year_col, *value_cols]:
+                if col.strip() not in header:
+                    raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
+            where = [header.index(col.strip()) for col in [year_col, *value_cols]]
+            years: list[int] = []
+            columns: list[list[float]] = [[] for _ in value_cols]  # indexed like value_cols
+            row_no = 2
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if rows := [row for row in chunk if "".join(row).strip()]:
+                    try:  # a short row or a cell that int() or float() rejects
+                        cells = list(zip(*rows))
+                        new_years = list(map(int, map(str.strip, cells[where[0]])))
+                        new_values = [list(map(float, map(str.strip, cells[i]))) for i in where[1:]]
+                        first = years[-1] + 1 if years else new_years[0]
+                        valid = all(map(eq, new_years, range(first, first + len(new_years)))) and all(
+                            all(map(math.isfinite, values)) and min(values) > 0.0 for values in new_values
+                        )
+                    except (IndexError, ValueError):
+                        valid = False
+                    if not valid:
+                        raise _first_fault(chunk, row_no, header, where, value_cols, (years or [None])[-1])
+                    years += new_years
+                    for column, values in zip(columns, new_values):
+                        column += values
+                row_no += len(chunk)
+        except csv.Error as exc:  # drop the " - " remedy: paths are already opened with newline=""
+            raise CsvFormatError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
+    if not years:
+        raise CsvFormatError("no data rows")
     return [
-        TimeSeries(name=col, base_year=years[0], years=tuple(years), values=tuple(columns[col]))
-        for col in value_cols
+        TimeSeries(name=col, base_year=years[0], years=tuple(years), values=tuple(values))
+        for col, values in zip(value_cols, columns)
     ]
 
 
-def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, columns) -> None:
-    """Check `rows` one by one from record `row_no`: raise at the first fault, or append them."""
+def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatError:
+    """The error of the first faulty record of `rows`, numbered from `row_no`.  `where` holds the
+    cell index of the year, then of each value column; `year` is that of the record before, or None."""
     for row_no, row in enumerate(rows, start=row_no):
-        if not row or all(cell.strip() == "" for cell in row):
+        if not "".join(row).strip():
             continue  # ignore blank lines
-        if len(row) <= max(col_index.values()):
-            raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-        raw_year = row[col_index[year_col]].strip()
+        if len(row) <= max(where):
+            return CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+        raw_year = row[where[0]].strip()
         try:
-            year = int(raw_year)
+            cur = int(raw_year)
         except ValueError:
-            raise CsvFormatError(f"non-integer year {raw_year!r}", row=row_no) from None
-        if years:
-            if year == years[-1]:
-                raise CsvFormatError(f"duplicate year {year}", row=row_no)
-            if year != years[-1] + 1:
-                raise CsvFormatError(f"non-consecutive year {year} after {years[-1]}", row=row_no)
-        years.append(year)
-        for col in value_cols:
-            raw = row[col_index[col]].strip()
+            return CsvFormatError(f"non-integer year {raw_year!r}", row=row_no)
+        if year is not None and cur != year + 1:
+            message = f"duplicate year {cur}" if cur == year else f"non-consecutive year {cur} after {year}"
+            return CsvFormatError(message, row=row_no)
+        year = cur
+        for col, i in zip(value_cols, where[1:]):
+            raw = row[i].strip()
             try:
                 v = float(raw)
             except ValueError:
-                raise CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no) from None
+                return CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no)
             if not (math.isfinite(v) and v > 0.0):
-                raise CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
-            columns[col].append(v)
+                return CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
+    raise AssertionError("the column pass rejected records that hold no fault")
 
 
 def normalize_base100(series: TimeSeries) -> TimeSeries:
@@ -190,7 +189,8 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
 
     The counterpart of `load_series`: values are printed with 17 significant
     digits, which re-reads to the identical float, and the header is quoted
-    where a name needs it.  `dest` is a path or a writable text stream.
+    where a name needs it.  `dest` is a path, a writable text stream or a writable
+    byte stream, which is written as UTF-8 and left open.
     """
     if not series_list:
         raise CsvFormatError("nothing to write")
@@ -214,15 +214,10 @@ def _fmt_float(x: float) -> str:
 def _write_csv(dest, header: Sequence[str], columns) -> None:
     """Write a header row, then one row of 17-digit numbers per index of `columns`.
 
-    `dest` is a path or a writable text stream.  The header is quoted as
-    `csv` quotes it, so `load_series` reads every name back; numbers never
-    need quoting.
+    `dest` is as in `write_series`.  The header is quoted as `csv` quotes it, so
+    `load_series` reads every name back; numbers never need quoting.
     """
-    if isinstance(dest, (str, Path)):
-        stream, owns = open(dest, "w", encoding="utf-8", newline=""), True
-    else:
-        stream, owns = dest, False
-    try:
+    with _text_stream(dest, "w") as stream:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
@@ -231,6 +226,3 @@ def _write_csv(dest, header: Sequence[str], columns) -> None:
             if "n" in (text := fmt % row):  # no finite number prints an "n"; "inf" and "nan" do
                 list(map(_fmt_float, map(float, row)))  # raises at the first of them
             stream.write(text)
-    finally:
-        if owns:
-            stream.close()

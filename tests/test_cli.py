@@ -335,6 +335,25 @@ def test_check_malformed_function_json(tmp_path, capsys):
     assert "unknown function type" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "{dir}/m.txt", "--function", "{dir}/deep.json", "--grid", "0:24:1"],
+        ["derive", "--from-fit", "{dir}/deep.json", "--family", "cobb-douglas"],
+    ],
+    ids=["check-function", "derive-from-fit"],
+)
+def test_json_nested_too_deeply_is_a_data_error(argv, tmp_path, capsys):
+    (tmp_path / "m.txt").write_text(EXAMPLE_MODEL_TEXT)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": {"type": "InputFormatError", "message": f"{tmp_path}/deep.json: JSON nested too deeply"}
+    }
+
+
 def test_check_usage_error_on_bad_grid(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["check", "--model", "m", "--function", "f", "--grid", "0:24"])

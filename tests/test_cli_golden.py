@@ -178,6 +178,7 @@ CASES = [
     ("simulate_trajectory_underflow", "simulate --model {dir}/underflow.txt --grid=-8000:-7999:1"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
+    ("export_same_column_twice", "export --csv {dir}/two.csv --year-col year --value-col L --value-col L"),
     ("export_quoted_header", "export --csv {dir}/quoted.csv --year-col year --value-col L,1 --value-col K --out {dir}/out.csv"),
 ]
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 from unittest import mock
@@ -50,6 +51,24 @@ def test_byte_stream_and_path(tmp_path):
     p.write_text(text)
     from_path = load_series(p, "year", ["L"])
     assert from_bytes == from_path
+
+
+@pytest.mark.parametrize("text", ["year,L\n1899,100\n1900,105\n", "year,L\n1899,100\n1900,0\n"], ids=["ok", "fault"])
+def test_a_byte_stream_is_left_open_and_readable(text):
+    src = io.BytesIO(text.encode())
+    try:
+        load_series(src, "year", ["L"])
+    except CsvFormatError:
+        pass
+    gc.collect()  # a dropped wrapper that still owned `src` would close it here
+    assert not src.closed
+    src.seek(0)
+    assert src.read() == text.encode()
+
+
+def test_the_same_column_twice_gives_two_equal_series():
+    first, second = load_series(io.StringIO("year,L,K\n1899,100,3\n1900,105,4\n"), "year", ["L", "L"])
+    assert first == second == TimeSeries("L", 1899, (1899, 1900), (100.0, 105.0))
 
 
 def test_24_rows_spanning_1899_1922():
@@ -107,12 +126,15 @@ def test_empty_input_and_header_only():
         load_series(io.StringIO("year,L\n"), "year", ["L"])
 
 
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("year,L\n1899,100\n1900,1" + "0" * csv.field_size_limit() + "\n", "line 3: field larger than field limit"),
-        ('year,L\n1899,"1\n00"\n1900,1' + "0" * csv.field_size_limit() + "\n", "line 4: field larger than field limit"),
-        ("year," + "L" * (csv.field_size_limit() + 1) + "\n1899,100\n", "line 1: field larger than field limit"),
+        ("year,L\n1899,100\n1900,1" + "0" * csv.field_size_limit() + "\n", f"line 3: {FIELD_LIMIT}"),
+        ('year,L\n1899,"1\n00"\n1900,1' + "0" * csv.field_size_limit() + "\n", f"line 4: {FIELD_LIMIT}"),
+        ("year," + "L" * (csv.field_size_limit() + 1) + "\n1899,100\n", f"line 1: {FIELD_LIMIT}"),
         ("year,L\n1899,100\n1900,1\r05\n", "line 3: new-line character seen in unquoted field"),
     ],
     ids=["long-cell", "long-cell-after-a-quoted-newline", "long-header", "bare-carriage-return"],
@@ -120,12 +142,42 @@ def test_empty_input_and_header_only():
 def test_input_the_csv_module_cannot_split_names_its_line(text, message):
     with pytest.raises(CsvFormatError) as ei:
         load_series(io.StringIO(text), "year", ["L"])
-    assert str(ei.value).startswith(message)
+    assert str(ei.value) == message  # no csv-module remedy such as "universal-newline mode"
     assert ei.value.row is None
 
 
 # ---------------------------------------------------------------------------
-# the column-at-a-time reader against the row walk alone
+# the column-at-a-time reader against the former row walk
+
+
+# The row walk that accepted records before the column pass did, kept as the reference.
+def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, columns) -> None:
+    """Check `rows` one by one from record `row_no`: raise at the first fault, or append them."""
+    for row_no, row in enumerate(rows, start=row_no):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue  # ignore blank lines
+        if len(row) <= max(col_index.values()):
+            raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+        raw_year = row[col_index[year_col]].strip()
+        try:
+            year = int(raw_year)
+        except ValueError:
+            raise CsvFormatError(f"non-integer year {raw_year!r}", row=row_no) from None
+        if years:
+            if year == years[-1]:
+                raise CsvFormatError(f"duplicate year {year}", row=row_no)
+            if year != years[-1] + 1:
+                raise CsvFormatError(f"non-consecutive year {year} after {years[-1]}", row=row_no)
+        years.append(year)
+        for col in value_cols:
+            raw = row[col_index[col]].strip()
+            try:
+                v = float(raw)
+            except ValueError:
+                raise CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no) from None
+            if not (math.isfinite(v) and v > 0.0):
+                raise CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
+            columns[col].append(v)
 
 
 def _row_walk(text, value_cols):
@@ -134,7 +186,7 @@ def _row_walk(text, value_cols):
     header = [h.strip() for h in next(reader)]
     col_index = {c: header.index(c) for c in ["year", *value_cols]}
     years, columns = [], {c: [] for c in value_cols}
-    ingest._walk_rows(reader, 2, header, col_index, "year", value_cols, years, columns)
+    _walk_rows(reader, 2, header, col_index, "year", value_cols, years, columns)
     if not years:
         raise CsvFormatError("no data rows")
     return [TimeSeries(c, years[0], tuple(years), tuple(columns[c])) for c in value_cols]
@@ -191,7 +243,7 @@ def test_chunked_load_agrees_with_the_row_walk(text, chunk_rows, cols):
     assert got == _outcome(_row_walk, text, cols)
 
 
-def test_padding_that_float_rejects_is_read_through_the_row_walk():
+def test_padding_that_float_rejects_is_stripped_before_conversion():
     (s,) = load_series(io.StringIO("year,L\n\x1c1899\x1d,\x1e1.5\x1f\n1900,2\n"), "year", ["L"])
     assert s.years == (1899, 1900) and s.values == (1.5, 2.0)
 
@@ -315,6 +367,13 @@ def test_write_then_load_round_trips_floats():
     assert back[0].values == s1.values
     assert back[1].values == s2.values
     assert back[0].years == s1.years
+
+
+def test_write_to_a_byte_stream_leaves_it_open():
+    buf = io.BytesIO()
+    write_series([make_series([106.65, 2.5], name="L")], buf)
+    assert not buf.closed
+    assert buf.getvalue() == b"year,L\n1899,106.65000000000001\n1900,2.5\n"
 
 
 def test_write_rejects_mismatched_years():
