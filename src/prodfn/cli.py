@@ -45,6 +45,7 @@ from .ingest import CsvFormatError, _fmt_float, _write_csv, load_series, normali
 from .invariants import (
     _b3_between,
     _deviation,
+    _require_tol,
     ces_like_member,
     ces_reduction,
     cobb_douglas_member,
@@ -196,35 +197,28 @@ def diagnostics_to_dict(diag: FitDiagnostics) -> dict:
 # input loading helpers
 
 
-def _read_json(path: str) -> dict:
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _parse_json(path: str, text: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def load_model_source(path: str, *, kind: str = "auto") -> ExponentialModel:
-    """Load a model from a fit-report JSON file or a model text file.
-
-    kind="auto" sniffs the content: valid JSON is treated as a fit report or
-    bare model object, anything else as model text.  kind="fit-json" reads
-    only JSON and kind="text" only model text.
-    """
-    if kind == "fit-json" or kind == "auto":
-        try:
-            obj = _read_json(path)
-        except InputFormatError:
-            if kind == "fit-json":
-                raise
-        else:
-            if isinstance(obj, dict) and "model" in obj:
-                obj = obj["model"]
-            return model_from_dict(obj)
-    with open(path, "r", encoding="utf-8") as fh:
-        return to_model(parse_model(fh.read()))
+def load_model_source(path: str) -> ExponentialModel:
+    """Load a model from one read of `path`: JSON (a fit report or a bare model object) when the
+    first character after JSON whitespace is `{` or `[`, where no model text starts; else model text."""
+    text = _read_text(path)  # outside the JSON handler: a non-UTF-8 file stays a UnicodeDecodeError
+    if not text.lstrip(" \t\r\n").startswith(("{", "[")):
+        return to_model(parse_model(text))
+    obj = _parse_json(path, text)
+    return model_from_dict(obj.get("model", obj) if isinstance(obj, dict) else obj)
 
 
 def _parse_grid(spec: str) -> tuple[float, float, float]:
@@ -268,8 +262,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    kind = "fit-json" if args.from_fit else "text"
-    model = load_model_source(args.from_fit or args.from_spec, kind=kind)
+    model = load_model_source(args.from_fit or args.from_spec)
 
     # recorded apart: the report lists this warning after the derivation's
     with warnings.catch_warnings(record=True) as crs_caught:
@@ -327,8 +320,9 @@ def cmd_derive(args) -> int:
 
 def cmd_check(args) -> int:
     model = load_model_source(args.model)
-    fn = function_from_dict(_read_json(args.function))
+    fn = function_from_dict(_parse_json(args.function, _read_text(args.function)))
     t = _grid(*args.grid)
+    _require_tol(args.tol)
     Y, y_fn, rel = _deviation(fn, model, t)
     max_dev = float(np.max(rel))
     if args.table:

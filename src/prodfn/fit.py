@@ -37,9 +37,7 @@ def fit_log_linear(series: TimeSeries) -> tuple[float, float, FitDiagnostics]:
     y = np.log(np.asarray(series.values, dtype=float))
 
     tc = t - t.mean()
-    st2 = float(np.dot(tc, tc))
-    if st2 == 0.0:  # unreachable with consecutive years, still guarded
-        raise DomainError(f"series {series.name!r}: all time points identical")
+    st2 = float(np.dot(tc, tc))  # > 0: n >= 2 consecutive years
     yc = y - y.mean()
     b = float(np.dot(tc, yc) / st2)
     ln_x0 = float(y.mean() - b * t.mean())

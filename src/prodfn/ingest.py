@@ -1,8 +1,9 @@
 """CSV ingestion of annual index series and base-100 normalization.
 
 Expected CSV dialect: UTF-8, comma-separated, one header row, decimal point
-'.', no thousands separators.  Years must be consecutive integers and all
-values strictly positive; nothing is interpolated, deflated or smoothed.
+'.', no thousands or `_` digit separators.  Years must be consecutive
+integers and all values strictly positive; nothing is interpolated, deflated
+or smoothed.
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
                         new_years = list(map(int, map(str.strip, cells[where[0]])))
                         new_values = [list(map(float, map(str.strip, cells[i]))) for i in where[1:]]
                         first = years[-1] + 1 if years else new_years[0]
-                        valid = all(map(eq, new_years, range(first, first + len(new_years)))) and all(
-                            all(map(math.isfinite, values)) and min(values) > 0.0 for values in new_values
+                        valid = (
+                            "_" not in "".join(["".join(cells[i]) for i in where])  # int() takes "1_000"
+                            and all(map(eq, new_years, range(first, first + len(new_years))))
+                            and all(all(map(math.isfinite, v)) and min(v) > 0.0 for v in new_values)
                         )
                     except (IndexError, ValueError):
                         valid = False
@@ -151,6 +154,8 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
             return CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
         raw_year = row[where[0]].strip()
         try:
+            if "_" in raw_year:
+                raise ValueError(raw_year)
             cur = int(raw_year)
         except ValueError:
             return CsvFormatError(f"non-integer year {raw_year!r}", row=row_no)
@@ -161,6 +166,8 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
         for col, i in zip(value_cols, where[1:]):
             raw = row[i].strip()
             try:
+                if "_" in raw:
+                    raise ValueError(raw)
                 v = float(raw)
             except ValueError:
                 return CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no)

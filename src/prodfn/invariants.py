@@ -60,6 +60,19 @@ def _require_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _anchor(ln_coeff: float, where: str) -> float:
+    """exp(ln_coeff), the constant that anchors an invariant at t = 0, or a DomainError naming `where`."""
+    try:
+        return math.exp(ln_coeff)
+    except OverflowError:
+        raise DomainError(f"{where}: the anchoring constant exp({ln_coeff!r}) overflows") from None
+
+
 def _require_nonzero(model: ExponentialModel, names, why: str) -> None:
     for name in names:
         if getattr(model, name) == 0.0:
@@ -79,7 +92,7 @@ def fundamental_invariant_L(model: ExponentialModel) -> PowerLaw:
     """
     _require_nonzero(model, ("b1",), "time cannot be eliminated via L")
     exponent = model.b3 / model.b1
-    coeff = math.exp(model.ln_Y0 - exponent * model.ln_L0)
+    coeff = _anchor(model.ln_Y0 - exponent * model.ln_L0, "fundamental_invariant_L")
     return PowerLaw(coeff=coeff, exponent=exponent, input=Factor.LABOR)
 
 
@@ -87,7 +100,7 @@ def fundamental_invariant_K(model: ExponentialModel) -> PowerLaw:
     """Second fundamental invariant: Y = (Y0 / K0**(b3/b2)) * K**(b3/b2)."""
     _require_nonzero(model, ("b2",), "time cannot be eliminated via K")
     exponent = model.b3 / model.b2
-    coeff = math.exp(model.ln_Y0 - exponent * model.ln_K0)
+    coeff = _anchor(model.ln_Y0 - exponent * model.ln_K0, "fundamental_invariant_K")
     return PowerLaw(coeff=coeff, exponent=exponent, input=Factor.CAPITAL)
 
 
@@ -105,7 +118,7 @@ def cobb_douglas_member(model: ExponentialModel, alpha: float) -> CobbDouglas:
     _require_alpha(alpha)
     _require_nonzero(model, ("b2",), "the capital exponent is undefined")
     beta = model.b3 / model.b2 - alpha * model.b1 / model.b2
-    A = math.exp(model.ln_Y0 - alpha * model.ln_L0 - beta * model.ln_K0)
+    A = _anchor(model.ln_Y0 - alpha * model.ln_L0 - beta * model.ln_K0, "cobb_douglas_member")
     return CobbDouglas(A=A, alpha=alpha, beta=beta)
 
 
@@ -166,8 +179,9 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
 
     Requires labor and capital to grow at the same rate and the three initial
     levels to coincide, both up to `tol` (relative for the rates, absolute on
-    the logs -- fitted parameters are never exactly equal).  With b the mean
-    rate and c the geometric mean initial level:
+    the logs -- fitted parameters are never exactly equal); `tol` must be
+    finite and >= 0.  With b the mean rate and c the geometric mean initial
+    level:
 
         p = 1/b,   v = b3/b,   A = c**(1 - b3/b)
 
@@ -176,6 +190,7 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
     SubstitutionRangeWarning, not an error.
     """
     _require_alpha(alpha)
+    _require_tol(tol)
     if model.b1 == 0.0 or model.b2 == 0.0:
         raise NotReducibleError("b1 and b2 must be nonzero")
     if abs(model.b1 - model.b2) > tol * max(abs(model.b1), abs(model.b2)):
@@ -192,7 +207,7 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
     ln_c = (model.ln_L0 + model.ln_K0 + model.ln_Y0) / 3.0
     p = 1.0 / b
     v = model.b3 / b
-    A = math.exp(ln_c * (1.0 - v))
+    A = _anchor(ln_c * (1.0 - v), "ces_reduction")
     if p >= 1.0:
         warnings.warn(
             f"p = {p!r} >= 1: sigma = 1/(1-p) is negative or undefined, "
@@ -248,8 +263,8 @@ def identity_chain_check(
     if L <= 0.0 or K <= 0.0:
         raise DomainError("L and K must be strictly positive")
     b1, b2, b3 = model.b1, model.b2, model.b3
-    B = math.exp(model.ln_Y0 - (b3 / b1) * model.ln_L0)
-    C = math.exp(model.ln_Y0 - (b3 / b2) * model.ln_K0)
+    B = _anchor(model.ln_Y0 - (b3 / b1) * model.ln_L0, "identity_chain_check")
+    C = _anchor(model.ln_Y0 - (b3 / b2) * model.ln_K0, "identity_chain_check")
     lhs = (
         C
         * K ** (b3 / b2)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodfn.cli import MAX_GRID_POINTS, _grid, main
+from prodfn import ProdfnError
+from prodfn.cli import MAX_GRID_POINTS, _grid, _parse_grid, load_model_source, main
 from conftest import CD1928
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -241,6 +243,66 @@ def test_derive_bad_spec_is_data_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# model loader
+
+BARE_MODEL = {"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": 0}
+MODEL_SOURCES = {
+    "text": EXAMPLE_MODEL_TEXT,
+    "fit-report": json.dumps({"model": BARE_MODEL, "diagnostics": {}}),
+    "bare-model": " \t\r\n" + json.dumps(BARE_MODEL),
+}
+
+
+@pytest.mark.parametrize("source", sorted(MODEL_SOURCES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--from-fit", "{model}", "--family", "fundamental"],
+        ["derive", "--from-spec", "{model}", "--family", "fundamental"],
+        ["check", "--model", "{model}", "--function", "{fn}", "--grid", "0:4:1"],
+        ["simulate", "--model", "{model}", "--grid", "0:2:1"],
+    ],
+    ids=["derive-from-fit", "derive-from-spec", "check", "simulate"],
+)
+def test_each_subcommand_opens_the_model_file_once(argv, source, tmp_path, capsys):
+    model, fn = tmp_path / "model", tmp_path / "fn.json"
+    model.write_text(MODEL_SOURCES[source])
+    fn.write_text('{"type": "power-law", "input": "labor", "coeff": 1, "exponent": 1}')
+    with mock.patch("prodfn.cli.open", create=True, side_effect=open) as spy:
+        code, out, _ = run(capsys, *(arg.format(model=model, fn=fn) for arg in argv))
+    assert code in (0, 1) and out
+    assert [call.args[0] for call in spy.call_args_list].count(str(model)) == 1
+
+
+@pytest.mark.parametrize("source", sorted(MODEL_SOURCES))
+def test_from_fit_and_from_spec_read_every_model_source_alike(source, tmp_path, capsys):
+    path = tmp_path / "model"
+    path.write_text(MODEL_SOURCES[source])
+    by_fit, by_spec = (
+        run(capsys, "derive", flag, str(path), "--family", "cobb-douglas")
+        for flag in ("--from-fit", "--from-spec")
+    )
+    assert by_fit == by_spec and by_fit[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ('{"b1": \n', "InputFormatError", "{path}: not valid JSON (Expecting value: line 2 column 1 (char 8))"),
+        ("\n [0.02, 0.06]", "InputFormatError", "model JSON must be an object"),
+        ("1.5\n", "ModelSyntaxError", "line 1, col 1: expected 'var', 'role', or 'd<NAME>/dt', got '1.5'"),
+    ],
+    ids=["broken-json", "json-array", "json-scalar-is-model-text"],
+)
+def test_a_leading_brace_or_bracket_alone_means_json(text, error, message, tmp_path):
+    path = tmp_path / "model"
+    path.write_text(text)
+    with pytest.raises(ProdfnError) as ei:
+        load_model_source(str(path))
+    assert (type(ei.value).__name__, str(ei.value)) == (error, message.format(path=path))
+
+
+# ---------------------------------------------------------------------------
 # check
 
 
@@ -358,6 +420,11 @@ def test_check_usage_error_on_bad_grid(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["check", "--model", "m", "--function", "f", "--grid", "0:24"])
     assert ei.value.code == 2
+
+
+def test_parse_grid_rejects_a_part_that_is_not_a_number():
+    with pytest.raises(argparse.ArgumentTypeError, match="grid must be numeric, got '0:x:1'"):
+        _parse_grid("0:x:1")
 
 
 # ---------------------------------------------------------------------------

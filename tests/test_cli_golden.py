@@ -44,6 +44,7 @@ INPUTS = {
     "inf_rate.txt": _rates("1e999", 0.06, 0.03),
     "underflow.txt": _rates(0.02, 0.03, 0.1),
     "crs_not_finite.txt": _rates("1e308", "-1e308", "1e308"),
+    "uneven.txt": _rates(0.02, 0.06, 0.03, (1, 2, 3)),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "fit.json": (
         '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
@@ -52,6 +53,8 @@ INPUTS = {
     ),
     "bare.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
     "badmodel.json": '{"model": {"b1": 0.1}}\n',
+    "overflow.json": '{"b1": 0.001, "b2": 0.002, "b3": 1, "ln_L0": -1, "ln_K0": -1, "ln_Y0": 0}\n',
+    "digits.json": '{"b1": ' + "1" * 5000 + ', "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
     "notjson.txt": "{not json\n",
     "latin1.txt": _rates(0.02, 0.06, 0.03).encode("utf-8") + b"\xe9\n",
     # functions
@@ -102,6 +105,7 @@ INPUTS = {
     "missing.json": '{"type": "cobb-douglas", "A": 1.0, "alpha": 0.5}\n',
     "bad_factor.json": '{"type": "power-law", "input": "land", "coeff": 1, "exponent": 1}\n',
     "list.json": "[1, 2]\n",
+    "cd_digits.json": '{"type": "cobb-douglas", "A": ' + "1" * 5000 + ', "alpha": 0.5, "beta": 0.5}\n',
     "latin1.json": b'{"type": "cobb-douglas", "A": 1, "alpha": 0.5, "beta": 0.5, "note": "\xe9"}\n',
     # series
     "data.csv": (
@@ -144,6 +148,9 @@ CASES = [
     ("derive_horizon_inf", "derive --from-spec {dir}/m.txt --family cobb-douglas --horizon inf"),
     ("derive_fit_not_json", "derive --from-fit {dir}/notjson.txt --family cobb-douglas"),
     ("derive_fit_bad_model", "derive --from-fit {dir}/badmodel.json --family cobb-douglas"),
+    ("derive_fit_too_many_digits", "derive --from-fit {dir}/digits.json --family cobb-douglas"),
+    ("derive_ces_tol_nan", "derive --from-spec {dir}/uneven.txt --family ces --alpha 0.5 --tol=nan"),
+    ("derive_fundamental_overflow", "derive --from-fit {dir}/overflow.json --family fundamental"),
     ("check_power_law_labor", "check --model {dir}/m.txt --function {dir}/pl_labor.json --grid 0:24:0.5" + TABLE),
     ("check_power_law_capital", "check --model {dir}/m.txt --function {dir}/pl_capital.json --grid 0:24:1" + TABLE),
     ("check_power_law_coeff_doubled", "check --model {dir}/m.txt --function {dir}/pl_labor_2x.json --grid 0:24:1" + TABLE),
@@ -163,6 +170,8 @@ CASES = [
     ("check_function_not_object", "check --model {dir}/m.txt --function {dir}/list.json --grid 0:24:1"),
     ("check_several_functions", "check --model {dir}/m.txt --function {dir}/report_fundamental.json --grid 0:24:1"),
     ("check_function_not_json", "check --model {dir}/m.txt --function {dir}/notjson.txt --grid 0:24:1"),
+    ("check_function_too_many_digits", "check --model {dir}/m.txt --function {dir}/cd_digits.json --grid 0:24:1"),
+    ("check_tol_nan", "check --model {dir}/m.txt --function {dir}/cd.json --grid 0:24:1 --tol=nan"),
     ("check_grid_infinite", "check --model {dir}/m.txt --function {dir}/cd.json --grid 0:inf:1"),
     ("check_model_directory", "check --model {dir} --function {dir}/cd.json --grid 0:24:1"),
     ("check_model_not_utf8", "check --model {dir}/latin1.txt --function {dir}/cd.json --grid 0:24:1"),

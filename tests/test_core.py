@@ -125,6 +125,11 @@ def test_evaluate_rejects_nonpositive_inputs():
         evaluate(fn, np.array([1.0, float("nan")]), np.array([1.0, 1.0]))
 
 
+def test_evaluate_rejects_a_non_function():
+    with pytest.raises(TypeError, match="not a production function"):
+        evaluate(object(), 1.0, 1.0)
+
+
 def test_evaluate_vectorized():
     fn = CobbDouglas(A=2.0, alpha=0.3, beta=0.6)
     L = np.array([1.0, 4.0, 9.0])

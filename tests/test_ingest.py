@@ -126,6 +126,30 @@ def test_empty_input_and_header_only():
         load_series(io.StringIO("year,L\n"), "year", ["L"])
 
 
+def test_no_value_column_is_rejected():
+    with pytest.raises(CsvFormatError, match="at least one value column"):
+        load_series(io.StringIO("year,L\n1899,1\n"), "year", [])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("year,L\n1_899,1\n1900,2\n", "row 2: non-integer year '1_899'"),
+        ("year,L\n1899,1\n1900,1_000\n", "row 3: non-numeric value '1_000' in column 'L'"),
+    ],
+    ids=["year", "value"],
+)
+def test_a_digit_separator_is_not_a_number(text, message):
+    with pytest.raises(CsvFormatError) as ei:
+        load_series(io.StringIO(text), "year", ["L"])
+    assert str(ei.value) == message
+
+
+def test_a_digit_separator_in_a_column_not_asked_for_is_left_alone():
+    (s,) = load_series(io.StringIO("year,L,note\n1899,1,1_0\n1900,2,x\n"), "year", ["L"])
+    assert s.years == (1899, 1900) and s.values == (1.0, 2.0)
+
+
 FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
 
 
@@ -160,6 +184,8 @@ def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, col
             raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
         raw_year = row[col_index[year_col]].strip()
         try:
+            if "_" in raw_year:  # the dialect has no digit separators, which int() accepts
+                raise ValueError(raw_year)
             year = int(raw_year)
         except ValueError:
             raise CsvFormatError(f"non-integer year {raw_year!r}", row=row_no) from None
@@ -172,6 +198,8 @@ def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, col
         for col in value_cols:
             raw = row[col_index[col]].strip()
             try:
+                if "_" in raw:
+                    raise ValueError(raw)
                 v = float(raw)
             except ValueError:
                 raise CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no) from None
@@ -279,6 +307,13 @@ def test_series_requires_positive_values():
         make_series([1.0, 0.0])
 
 
+def test_series_requires_a_value_per_year():
+    with pytest.raises(CsvFormatError, match="is empty"):
+        TimeSeries(name="x", base_year=1899, years=(), values=())
+    with pytest.raises(CsvFormatError, match="years and values differ in length"):
+        TimeSeries(name="x", base_year=1899, years=(1899, 1900), values=(1.0,))
+
+
 def _first_series_fault(years, values):
     """The message of the first broken rule, walking the series as TimeSeries once always did."""
     for prev, cur in zip(years, years[1:]):
@@ -379,6 +414,11 @@ def test_write_to_a_byte_stream_leaves_it_open():
 def test_write_rejects_mismatched_years():
     with pytest.raises(CsvFormatError):
         write_series([make_series([1.0, 2.0]), make_series([1.0, 2.0], base_year=1900)], io.StringIO())
+
+
+def test_write_rejects_no_series():
+    with pytest.raises(CsvFormatError, match="nothing to write"):
+        write_series([], io.StringIO())
 
 
 @pytest.mark.parametrize("name", ["L,1", 'say "K"', "line\nbreak", "cr\rname", " padded,"])

@@ -309,6 +309,18 @@ def test_ces_reduction_gate_on_rates():
         ces_reduction(model(0.02, 0.06, 0.03), 0.5, tol=1e-6)
 
 
+def test_ces_reduction_needs_nonzero_rates():
+    with pytest.raises(NotReducibleError, match="b1 and b2 must be nonzero"):
+        ces_reduction(model(0.0, 0.0, 0.03), 0.5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-300])
+def test_ces_reduction_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # NaN once passed every comparison of the gate: rates 0.02/0.06 gave a CES 36% off
+    with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+        ces_reduction(model(0.02, 0.06, 0.03, l0=0.0, k0=math.log(2.0), y0=math.log(3.0)), 0.5, tol=tol)
+
+
 def test_ces_reduction_gate_on_initial_levels():
     m = model(0.05, 0.05, 0.03, l0=1.0, k0=2.0, y0=1.0)
     with pytest.raises(NotReducibleError, match="initial levels"):
@@ -407,6 +419,23 @@ def test_identity_chain_guards():
         identity_chain_check(model(0.0, 0.1, 0.1), 0.5, 10.0, 10.0)
     with pytest.raises(DomainError):
         identity_chain_check(CD1928, 0.5, -1.0, 10.0)
+
+
+# each model puts the constant anchoring the invariant at t = 0 beyond the float range
+HIGH = model(0.001, 0.002, 1.0, l0=-1.0, k0=-1.0, y0=0.0)
+ANCHOR_OVERFLOWS = [
+    (fundamental_invariant_L, (HIGH,)),
+    (fundamental_invariant_K, (model(0.002, 0.001, 1.0, l0=-1.0, k0=-1.0),)),
+    (cobb_douglas_member, (model(0.001, 0.0001, 1.0, l0=-1.0, k0=-1.0), 0.5)),
+    (ces_reduction, (model(0.001, 0.001, 1.0, l0=-1.0, k0=-1.0, y0=-1.0), 0.5)),
+    (identity_chain_check, (HIGH, 0.5, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("derive, args", ANCHOR_OVERFLOWS, ids=[f.__name__ for f, _ in ANCHOR_OVERFLOWS])
+def test_an_anchoring_constant_that_overflows_is_a_domain_error(derive, args):
+    with pytest.raises(DomainError, match=rf"^{derive.__name__}: the anchoring constant exp\(.*\) overflows$"):
+        derive(*args)
 
 
 # ---------------------------------------------------------------------------
