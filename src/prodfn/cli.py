@@ -10,7 +10,7 @@ floats are printed with 17 significant digits, which is lossless for binary
 64-bit floats, so reports can be fed back into other subcommands without
 drift.  Exit codes: 0 success, 1 failed check, 2 usage error, 3 data or
 parse error (also an unreadable or non-UTF-8 file), 4 math or degeneracy
-error.  Set PRODFN_LOG=debug|info|warning for diagnostics on stderr.
+error.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import math
-import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -116,7 +114,14 @@ def emit_json(obj, indent: int = 0) -> str:
 # wire formats
 
 
-_PARSE = {"input": Factor, "base_year": int}  # every other field is a float
+def _year(x) -> int:
+    """int(x) for a whole number or an integer string; int() alone would cut 1899.7 to 1899."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"base_year must be a whole number, got {x!r}")
+    return int(x)
+
+
+_PARSE = {"input": Factor, "base_year": _year}  # every other field is a float
 
 
 def _wire(cls, tag=None, keys=None):
@@ -152,7 +157,7 @@ def _from_dict(cls, obj: dict, what: str):
             name: parse(obj[name] if default is dataclasses.MISSING else obj.get(name, default))
             for name, parse, default in _WIRE[cls][2]
         })
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of an integer over 1e308
         raise InputFormatError(f"bad {what} JSON: {exc}") from None
 
 
@@ -425,23 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    value = os.environ.get("PRODFN_LOG", "").strip()
-    if value:
-        level = logging.getLevelName(value.upper())  # a level name maps to its number
-        if isinstance(level, int):
-            logging.basicConfig(stream=sys.stderr, level=level)
-        else:
-            sys.stderr.write(f"prodfn: ignoring unknown PRODFN_LOG value {value!r}\n")
-
-
 def _error(kind: str, message: str, code: int) -> int:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
     return code
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

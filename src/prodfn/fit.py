@@ -8,14 +8,10 @@ does not depend on the chosen time origin.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .core import DomainError, ExponentialModel, FitDiagnostics, ProdfnError
 from .ingest import TimeSeries
-
-log = logging.getLogger(__name__)
 
 
 class SeriesAlignmentError(ProdfnError):
@@ -54,7 +50,6 @@ def fit_log_linear(series: TimeSeries) -> tuple[float, float, FitDiagnostics]:
         residual_max_abs=float(np.abs(resid).max()),
         n_points=n,
     )
-    log.debug("fit %s: b=%.17g ln_x0=%.17g r2=%.6f", series.name, b, ln_x0, r2)
     return b, ln_x0, diag
 
 

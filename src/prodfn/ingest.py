@@ -1,9 +1,9 @@
 """CSV ingestion of annual index series and base-100 normalization.
 
-Expected CSV dialect: UTF-8, comma-separated, one header row, decimal point
-'.', no thousands or `_` digit separators.  Years must be consecutive
-integers and all values strictly positive; nothing is interpolated, deflated
-or smoothed.
+Expected CSV dialect: UTF-8, comma-separated, one header row, ASCII digits,
+decimal point '.', no thousands or `_` digit separators.  Years must be
+consecutive integers and all values strictly positive; nothing is
+interpolated, deflated or smoothed.
 """
 
 from __future__ import annotations
@@ -118,11 +118,13 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
                 if rows := [row for row in chunk if "".join(row).strip()]:
                     try:  # a short row or a cell that int() or float() rejects
                         cells = list(zip(*rows))
-                        new_years = list(map(int, map(str.strip, cells[where[0]])))
-                        new_values = [list(map(float, map(str.strip, cells[i]))) for i in where[1:]]
+                        needed = [list(map(str.strip, cells[i])) for i in where]
+                        new_years = list(map(int, needed[0]))
+                        new_values = [list(map(float, column)) for column in needed[1:]]
                         first = years[-1] + 1 if years else new_years[0]
+                        text = "".join(map("".join, needed))
                         valid = (
-                            "_" not in "".join(["".join(cells[i]) for i in where])  # int() takes "1_000"
+                            text.isascii() and "_" not in text  # the rule of _number
                             and all(map(eq, new_years, range(first, first + len(new_years))))
                             and all(all(map(math.isfinite, v)) and min(v) > 0.0 for v in new_values)
                         )
@@ -153,11 +155,7 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
         if len(row) <= max(where):
             return CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
         raw_year = row[where[0]].strip()
-        try:
-            if "_" in raw_year:
-                raise ValueError(raw_year)
-            cur = int(raw_year)
-        except ValueError:
+        if (cur := _number(int, raw_year)) is None:
             return CsvFormatError(f"non-integer year {raw_year!r}", row=row_no)
         if year is not None and cur != year + 1:
             message = f"duplicate year {cur}" if cur == year else f"non-consecutive year {cur} after {year}"
@@ -165,15 +163,19 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
         year = cur
         for col, i in zip(value_cols, where[1:]):
             raw = row[i].strip()
-            try:
-                if "_" in raw:
-                    raise ValueError(raw)
-                v = float(raw)
-            except ValueError:
+            if (v := _number(float, raw)) is None:
                 return CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no)
             if not (math.isfinite(v) and v > 0.0):
                 return CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
     raise AssertionError("the column pass rejected records that hold no fault")
+
+
+def _number(parse, raw: str):
+    """parse(raw), or None where it fails: int() and float() take "1_000" and non-ASCII digits, which fail here."""
+    try:
+        return parse(raw) if raw.isascii() and "_" not in raw else None
+    except ValueError:
+        return None
 
 
 def normalize_base100(series: TimeSeries) -> TimeSeries:

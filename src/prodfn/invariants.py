@@ -16,7 +16,6 @@ along a trajectory.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 
@@ -35,8 +34,6 @@ from .core import (
     evaluate,
     trajectory,
 )
-
-log = logging.getLogger(__name__)
 
 
 class DegenerateRateError(ProdfnError):
@@ -236,10 +233,7 @@ def constancy_check(
     Deviations are relative to Y(t) because index levels grow and an absolute
     metric would conflate scale with error.
     """
-    rel = _deviation(fn, model, t_grid)[2]
-    worst = float(rel.max())
-    log.debug("constancy over %d grid points: max dev %.3e", rel.size, worst)
-    return worst
+    return float(_deviation(fn, model, t_grid)[2].max())
 
 
 def identity_chain_check(
@@ -256,7 +250,8 @@ def identity_chain_check(
             ==  A * L**alpha * K**(b3/b2 - alpha*b1/b2)
 
     Returns |lhs - rhs| / |rhs| evaluated at the given inputs; a correct
-    implementation keeps it at rounding level for any model and alpha.
+    implementation keeps it at rounding level for any model and alpha.  A power
+    that overflows, a side that is 0 or a residual that is not finite is a DomainError.
     """
     _require_alpha(alpha)
     _require_nonzero(model, ("b1", "b2", "b3"), "the identity chain is undefined")
@@ -265,12 +260,17 @@ def identity_chain_check(
     b1, b2, b3 = model.b1, model.b2, model.b3
     B = _anchor(model.ln_Y0 - (b3 / b1) * model.ln_L0, "identity_chain_check")
     C = _anchor(model.ln_Y0 - (b3 / b2) * model.ln_K0, "identity_chain_check")
-    lhs = (
-        C
-        * K ** (b3 / b2)
-        * (B**alpha * L ** (alpha * b3 / b1) / (C**alpha * K ** (alpha * b3 / b2)))
-        ** (b1 / b3)
-    )
     member = cobb_douglas_member(model, alpha)
-    rhs = member.A * L**member.alpha * K**member.beta
-    return abs(lhs - rhs) / abs(rhs)
+    try:
+        lhs = (
+            C
+            * K ** (b3 / b2)
+            * (B**alpha * L ** (alpha * b3 / b1) / (C**alpha * K ** (alpha * b3 / b2)))
+            ** (b1 / b3)
+        )
+        rhs = member.A * L**member.alpha * K**member.beta
+        if lhs != 0.0 and math.isfinite(residual := abs(lhs - rhs) / abs(rhs)):
+            return residual
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"identity_chain_check: the chain leaves the float range at L = {L!r}, K = {K!r}")

@@ -667,45 +667,39 @@ def test_derive_any_horizon_ends_in_a_typed_exit(model_and_function, horizon):
 
 
 # ---------------------------------------------------------------------------
-# PRODFN_LOG, read once per process, so each case runs the CLI in a subprocess
+# no logging: each case runs a fresh interpreter, so nothing a test imported or configured counts
 
 
-def _run_cli(work, log_value, *argv):
+def _python(work, *args, log_value=None):
     env = {k: v for k, v in os.environ.items() if k != "PRODFN_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if log_value is not None:
         env["PRODFN_LOG"] = log_value
-    return subprocess.run(
-        [sys.executable, "-m", "prodfn", *argv], cwd=work, env=env, capture_output=True, text=True
-    )
+    run = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
 
 
-@pytest.fixture(scope="module")
-def log_work(tmp_path_factory):
-    work = tmp_path_factory.mktemp("log")
-    (work / "m.txt").write_text(EXAMPLE_MODEL_TEXT)
-    (work / "fn.json").write_text(json.dumps(FUNCTIONS["cobb-douglas"]))
-    return work
+def test_importing_the_cli_loads_no_logging_machinery(tmp_path):
+    code = "import sys; old = set(sys.modules); import prodfn.cli; print(*set(sys.modules) - old)"
+    loaded = set(_python(tmp_path, "-c", code)[1].split())
+    assert "prodfn.cli" in loaded
+    assert not {"logging", "traceback", "string"} & loaded
 
 
-def test_log_debug_writes_one_constancy_line_per_derived_function(log_work):
-    derive = _run_cli(log_work, "debug", "derive", "--from-spec", "m.txt", "--family", "fundamental")
-    assert derive.returncode == 0
-    lines = derive.stderr.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("DEBUG:prodfn.invariants:constancy over 97 grid points") for line in lines)
-    check = _run_cli(log_work, "debug", "check", "--model", "m.txt", "--function", "fn.json", "--grid", "0:24:1")
-    assert check.returncode == 1  # the perturbed function fails; the point is the empty log
-    assert check.stderr == ""
-
-
-def test_log_unknown_value_warns_once_and_leaves_stdout_alone(log_work):
-    argv = ("derive", "--from-spec", "m.txt", "--family", "cobb-douglas")
-    unset = _run_cli(log_work, None, *argv)
-    verbose = _run_cli(log_work, "verbose", *argv)
-    assert unset.returncode == verbose.returncode == 0
-    assert verbose.stdout == unset.stdout
-    assert unset.stderr == ""
-    lines = verbose.stderr.splitlines()
-    assert len(lines) == 1
-    assert "'verbose'" in lines[0]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        fit_args("data.csv"),
+        ["derive", "--from-spec", "m.txt", "--family", "fundamental"],
+        ["check", "--model", "m.txt", "--function", "fn.json", "--grid", "0:24:1"],
+    ],
+    ids=["fit", "derive", "check"],
+)
+def test_a_leftover_prodfn_log_changes_nothing(argv, tmp_path):
+    write_exponential_csv(tmp_path / "data.csv")
+    (tmp_path / "m.txt").write_text(EXAMPLE_MODEL_TEXT)
+    (tmp_path / "fn.json").write_text(json.dumps(FUNCTIONS["cobb-douglas"]))
+    unset, debug, verbose = (_python(tmp_path, "-m", "prodfn", *argv, log_value=v) for v in (None, "debug", "verbose"))
+    assert debug == verbose == unset
+    code, out, err = unset
+    assert out and (code != 0 or err == "")  # `check` exits 1 here: the function is perturbed

@@ -55,6 +55,8 @@ INPUTS = {
     "badmodel.json": '{"model": {"b1": 0.1}}\n',
     "overflow.json": '{"b1": 0.001, "b2": 0.002, "b3": 1, "ln_L0": -1, "ln_K0": -1, "ln_Y0": 0}\n',
     "digits.json": '{"b1": ' + "1" * 5000 + ', "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
+    "year_overflow.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": 1e400}\n',
+    "year_fraction.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": 1899.7}\n',
     "notjson.txt": "{not json\n",
     "latin1.txt": _rates(0.02, 0.06, 0.03).encode("utf-8") + b"\xe9\n",
     # functions
@@ -149,6 +151,8 @@ CASES = [
     ("derive_fit_not_json", "derive --from-fit {dir}/notjson.txt --family cobb-douglas"),
     ("derive_fit_bad_model", "derive --from-fit {dir}/badmodel.json --family cobb-douglas"),
     ("derive_fit_too_many_digits", "derive --from-fit {dir}/digits.json --family cobb-douglas"),
+    ("derive_fit_base_year_overflow", "derive --from-fit {dir}/year_overflow.json --family cobb-douglas"),
+    ("derive_fit_base_year_fraction", "derive --from-fit {dir}/year_fraction.json --family cobb-douglas"),
     ("derive_ces_tol_nan", "derive --from-spec {dir}/uneven.txt --family ces --alpha 0.5 --tol=nan"),
     ("derive_fundamental_overflow", "derive --from-fit {dir}/overflow.json --family fundamental"),
     ("check_power_law_labor", "check --model {dir}/m.txt --function {dir}/pl_labor.json --grid 0:24:0.5" + TABLE),

@@ -1,6 +1,7 @@
 """Wire format of models, functions and fit diagnostics (JSON objects of the CLI)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,12 +70,20 @@ def test_model_base_year_defaults_to_zero():
     assert model_from_dict({**obj, "base_year": 1899}) == MODEL
 
 
+@pytest.mark.parametrize("year", [1899.0, "1899", " 1899 "])
+def test_model_base_year_takes_a_whole_number_or_an_integer_string(year):
+    assert model_from_dict({**model_to_dict(MODEL), "base_year": year}) == MODEL
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
         ([1, 2], "model JSON must be an object"),
         ({"b1": 0.1}, "bad model JSON: 'b2'"),
         ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": "x"}, "bad model JSON: invalid literal"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": 1899.7}, "bad model JSON: base_year must be a whole number"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": math.inf}, "bad model JSON: base_year must be a whole number"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "b1": 10**400}, "bad model JSON: int too large to convert to float"),
     ],
 )
 def test_model_from_dict_errors(obj, message):

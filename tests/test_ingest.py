@@ -136,13 +136,21 @@ def test_no_value_column_is_rejected():
     [
         ("year,L\n1_899,1\n1900,2\n", "row 2: non-integer year '1_899'"),
         ("year,L\n1899,1\n1900,1_000\n", "row 3: non-numeric value '1_000' in column 'L'"),
+        # int() and float() also read every Unicode decimal digit; the dialect takes ASCII ones
+        ("year,L\n١٨٩٩,١٠\n1900,2\n", "row 2: non-integer year '١٨٩٩'"),
+        ("year,L\n1899,1\n1900,１０\n", "row 3: non-numeric value '１０' in column 'L'"),
     ],
-    ids=["year", "value"],
+    ids=["year", "value", "arabic-indic-year", "fullwidth-value"],
 )
 def test_a_digit_separator_is_not_a_number(text, message):
     with pytest.raises(CsvFormatError) as ei:
         load_series(io.StringIO(text), "year", ["L"])
     assert str(ei.value) == message
+
+
+def test_non_ascii_padding_around_ascii_digits_is_stripped():
+    (s,) = load_series(io.StringIO("year,L\n\xa01899\u2003,\u20031.5\xa0\n1900,2\n"), "year", ["L"])
+    assert s.years == (1899, 1900) and s.values == (1.5, 2.0)
 
 
 def test_a_digit_separator_in_a_column_not_asked_for_is_left_alone():
@@ -184,7 +192,7 @@ def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, col
             raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
         raw_year = row[col_index[year_col]].strip()
         try:
-            if "_" in raw_year:  # the dialect has no digit separators, which int() accepts
+            if "_" in raw_year or not raw_year.isascii():  # int() takes "1_000" and non-ASCII digits
                 raise ValueError(raw_year)
             year = int(raw_year)
         except ValueError:
@@ -198,7 +206,7 @@ def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, col
         for col in value_cols:
             raw = row[col_index[col]].strip()
             try:
-                if "_" in raw:
+                if "_" in raw or not raw.isascii():
                     raise ValueError(raw)
                 v = float(raw)
             except ValueError:
@@ -228,7 +236,7 @@ def _outcome(fn, *args):
 
 
 pads = st.sampled_from(["", "", " ", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"])
-odd_cells = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1_0", "n/a", "", "1e400", "5e-324", "+7.5"])
+odd_cells = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1_0", "١٠", "n/a", "", "1e400", "5e-324", "+7.5"])
 row_kinds = st.sampled_from(["good"] * 5 + ["odd"] * 3 + ["blank", "spaces", "short", "duplicate", "gap", "newline"])
 
 

@@ -421,6 +421,21 @@ def test_identity_chain_guards():
         identity_chain_check(CD1928, 0.5, -1.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "m, x",
+    [
+        (model(0.02, 0.01, 0.04), 1e300),  # a float power overflows
+        (model(0.02, 0.01, 0.04), 1e-300),  # a power underflows to 0, then divides
+        (model(0.02, 0.03, 0.04, y0=700.0), 1e10),  # both sides are inf: the residual is nan
+        (model(-0.04, -0.01, -0.04), 1e-100),  # lhs underflows to 0 while rhs is 1e-250: it would read 1
+    ],
+    ids=["overflow", "zero", "nan", "one-side-zero"],
+)
+def test_identity_chain_outside_the_float_range_is_a_domain_error(m, x):
+    with pytest.raises(DomainError, match=r"^identity_chain_check: "):
+        identity_chain_check(m, 0.5, x, x)
+
+
 # each model puts the constant anchoring the invariant at t = 0 beyond the float range
 HIGH = model(0.001, 0.002, 1.0, l0=-1.0, k0=-1.0, y0=0.0)
 ANCHOR_OVERFLOWS = [
