@@ -39,7 +39,7 @@ from .core import (
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
-from .ingest import CsvFormatError, _fmt_float, _write_csv, load_series, normalize_base100, write_series
+from .ingest import CsvFormatError, _ascii_digits, _fmt_float, _write_csv, load_series, normalize_base100, write_series
 from .invariants import (
     _b3_between,
     _deviation,
@@ -81,17 +81,17 @@ def emit_json(obj, indent: int = 0) -> str:
     cls = type(obj)  # the exact types first: they are nearly every value
     if cls is float:
         return _fmt_float(obj)
-    if cls is str:
+    if cls is str or isinstance(obj, str):
         return _encode_str(obj)
     pad = "\n" + "  " * indent
     inner = pad + "  "
     if cls is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{inner}{_encode_str(k) if isinstance(k, str) else json.dumps(k)}: {emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"cannot serialize {type(k).__name__} key")
+        items = [f"{inner}{_encode_str(k)}: {emit_json(v, indent + 1)}" for k, v in obj.items()]
         return "{" + ",".join(items) + pad + "}"
     if cls is list or isinstance(obj, (list, tuple)):
         if not obj:
@@ -105,8 +105,6 @@ def emit_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return _encode_str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -121,13 +119,22 @@ def _year(x) -> int:
     return int(x)
 
 
-_PARSE = {"input": Factor, "base_year": _year}  # every other field is a float
+def _wire_number(parse):
+    """parse(x) for a JSON number or a numeric string under the CSV digit rule; a boolean is no number."""
+    def read(x):
+        if isinstance(x, bool) or (isinstance(x, str) and not _ascii_digits(x.strip())):
+            raise ValueError(f"not a number: {x!r}")
+        return parse(x)
+    return read
+
+
+_PARSE = {"input": Factor, "base_year": _wire_number(_year)}  # every other field is a float
 
 
 def _wire(cls, tag=None, keys=None):
     """(tag, JSON keys in emitted order, (name, parser, default) per field to read)."""
     fields = dataclasses.fields(cls)  # once, at import: it is slow per call
-    read = tuple((f.name, _PARSE.get(f.name, float), f.default) for f in fields)
+    read = tuple((f.name, _PARSE.get(f.name, _wire_number(float)), f.default) for f in fields)
     return tag, keys or tuple(f.name for f in fields), read
 
 

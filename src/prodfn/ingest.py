@@ -34,39 +34,29 @@ class CsvFormatError(ProdfnError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """One named annual index series.
+    """One named annual index series: `values[i]` is the value of year `base_year + i`.
 
-    `years` are strictly increasing consecutive integers, `values` strictly
-    positive, and `base_year` equals the first year.
+    `values` is non-empty and strictly positive; `years` is the range of years they cover.
     """
 
     name: str
     base_year: int
-    years: tuple[int, ...]
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.years) == 0:
+        if len(self.values) == 0:
             raise CsvFormatError(f"series {self.name!r} is empty")
-        if len(self.years) != len(self.values):
-            raise CsvFormatError(f"series {self.name!r}: years and values differ in length")
-        if self.base_year != self.years[0]:
-            raise CsvFormatError(
-                f"series {self.name!r}: base_year {self.base_year} != first year {self.years[0]}"
-            )
-        if not all(map(eq, self.years, range(self.base_year, self.base_year + len(self.years)))):
-            for prev, cur in zip(self.years, self.years[1:]):
-                if cur != prev + 1:
-                    raise CsvFormatError(
-                        f"series {self.name!r}: years must be consecutive, got {prev} then {cur}"
-                    )
         if not (all(map(math.isfinite, self.values)) and min(self.values) > 0.0):
             for year, v in zip(self.years, self.values):
                 if not (math.isfinite(v) and v > 0.0):
                     raise CsvFormatError(f"series {self.name!r}: value at {year} must be positive, got {v!r}")
 
+    @property
+    def years(self) -> range:
+        return range(self.base_year, self.base_year + len(self.values))
+
     def __len__(self) -> int:
-        return len(self.years)
+        return len(self.values)
 
 
 @contextmanager
@@ -87,7 +77,7 @@ def _text_stream(source, mode: str) -> Iterator[IO[str]]:
 
 
 def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSeries]:
-    """Read one TimeSeries per value column from a CSV with a header row.
+    """Read one TimeSeries per value column from a CSV with a header row; each starts at the first year read.
 
     `source` may be a path, an open text stream, or an open byte stream; a stream is
     left open.  One pass per needed column accepts 1,024 records at a time, each cell
@@ -111,7 +101,7 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
                 if col.strip() not in header:
                     raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
             where = [header.index(col.strip()) for col in [year_col, *value_cols]]
-            years: list[int] = []
+            last = None  # the year of the last accepted record
             columns: list[list[float]] = [[] for _ in value_cols]  # indexed like value_cols
             row_no = 2
             while chunk := list(islice(reader, _CHUNK_ROWS)):
@@ -121,29 +111,26 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
                         needed = [list(map(str.strip, cells[i])) for i in where]
                         new_years = list(map(int, needed[0]))
                         new_values = [list(map(float, column)) for column in needed[1:]]
-                        first = years[-1] + 1 if years else new_years[0]
-                        text = "".join(map("".join, needed))
+                        first = new_years[0] if last is None else last + 1
                         valid = (
-                            text.isascii() and "_" not in text  # the rule of _number
+                            _ascii_digits("".join(map("".join, needed)))
                             and all(map(eq, new_years, range(first, first + len(new_years))))
                             and all(all(map(math.isfinite, v)) and min(v) > 0.0 for v in new_values)
                         )
                     except (IndexError, ValueError):
                         valid = False
                     if not valid:
-                        raise _first_fault(chunk, row_no, header, where, value_cols, (years or [None])[-1])
-                    years += new_years
+                        raise _first_fault(chunk, row_no, header, where, value_cols, last)
+                    last = new_years[-1]
                     for column, values in zip(columns, new_values):
                         column += values
                 row_no += len(chunk)
         except csv.Error as exc:  # drop the " - " remedy: paths are already opened with newline=""
             raise CsvFormatError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
-    if not years:
+    if last is None:
         raise CsvFormatError("no data rows")
-    return [
-        TimeSeries(name=col, base_year=years[0], years=tuple(years), values=tuple(values))
-        for col, values in zip(value_cols, columns)
-    ]
+    base_year = last + 1 - len(columns[0])  # the accepted years are consecutive
+    return [TimeSeries(col, base_year, tuple(values)) for col, values in zip(value_cols, columns)]
 
 
 def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatError:
@@ -170,10 +157,15 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
     raise AssertionError("the column pass rejected records that hold no fault")
 
 
+def _ascii_digits(text: str) -> bool:
+    """The dialect's digit rule: int() and float() also read "1_000" and non-ASCII digits; it does not."""
+    return text.isascii() and "_" not in text
+
+
 def _number(parse, raw: str):
-    """parse(raw), or None where it fails: int() and float() take "1_000" and non-ASCII digits, which fail here."""
+    """parse(raw), or None where it fails or `raw` breaks the digit rule of `_ascii_digits`."""
     try:
-        return parse(raw) if raw.isascii() and "_" not in raw else None
+        return parse(raw) if _ascii_digits(raw) else None
     except ValueError:
         return None
 

@@ -57,6 +57,7 @@ INPUTS = {
     "digits.json": '{"b1": ' + "1" * 5000 + ', "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3}\n',
     "year_overflow.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": 1e400}\n',
     "year_fraction.json": '{"b1": 0.02, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": 1899.7}\n',
+    "boolean.json": '{"b1": true, "b2": 0.06, "b3": 0.035, "ln_L0": 4.1, "ln_K0": 4.2, "ln_Y0": 4.3, "base_year": false}\n',
     "notjson.txt": "{not json\n",
     "latin1.txt": _rates(0.02, 0.06, 0.03).encode("utf-8") + b"\xe9\n",
     # functions
@@ -84,6 +85,7 @@ INPUTS = {
         '{"type": "cobb-douglas", "A": "1.0099537136356771", '
         '"alpha": "0.73411753729773876", "beta": "0.26588246270226118"}\n'
     ),
+    "cd_separator.json": '{"type": "cobb-douglas", "A": 1.0099537136356771, "alpha": "0_5", "beta": 0.5}\n',
     "gces.json": (
         '{"type": "generalized-ces", "cK": 2.0044789522659107e+25, '
         '"cL": 1.8500712125395469e-24, "alpha": 0.73411753729773876, '
@@ -153,6 +155,7 @@ CASES = [
     ("derive_fit_too_many_digits", "derive --from-fit {dir}/digits.json --family cobb-douglas"),
     ("derive_fit_base_year_overflow", "derive --from-fit {dir}/year_overflow.json --family cobb-douglas"),
     ("derive_fit_base_year_fraction", "derive --from-fit {dir}/year_fraction.json --family cobb-douglas"),
+    ("derive_fit_boolean_field", "derive --from-fit {dir}/boolean.json --family cobb-douglas"),
     ("derive_ces_tol_nan", "derive --from-spec {dir}/uneven.txt --family ces --alpha 0.5 --tol=nan"),
     ("derive_fundamental_overflow", "derive --from-fit {dir}/overflow.json --family fundamental"),
     ("check_power_law_labor", "check --model {dir}/m.txt --function {dir}/pl_labor.json --grid 0:24:0.5" + TABLE),
@@ -162,6 +165,7 @@ CASES = [
     ("check_cobb_douglas", "check --model {dir}/m.txt --function {dir}/cd.json --grid 0:24:0.5" + TABLE),
     ("check_cobb_douglas_perturbed", "check --model {dir}/m.txt --function {dir}/cd_perturbed.json --grid 0:24:1" + TABLE),
     ("check_numeric_strings", "check --model {dir}/m.txt --function {dir}/cd_strings.json --grid 0:24:1"),
+    ("check_digit_separator", "check --model {dir}/m.txt --function {dir}/cd_separator.json --grid 0:24:1"),
     ("check_generalized_ces", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:24:0.5" + TABLE),
     ("check_generalized_ces_single_point", "check --model {dir}/m.txt --function {dir}/gces.json --grid 0:0:1"),
     ("check_generalized_ces_negative_coeff", "check --model {dir}/m.txt --function {dir}/gces_negative.json --grid 0:24:1"),

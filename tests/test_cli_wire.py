@@ -70,7 +70,7 @@ def test_model_base_year_defaults_to_zero():
     assert model_from_dict({**obj, "base_year": 1899}) == MODEL
 
 
-@pytest.mark.parametrize("year", [1899.0, "1899", " 1899 "])
+@pytest.mark.parametrize("year", [1899.0, "1899", " 1899 ", "\u20031899\xa0"])
 def test_model_base_year_takes_a_whole_number_or_an_integer_string(year):
     assert model_from_dict({**model_to_dict(MODEL), "base_year": year}) == MODEL
 
@@ -84,6 +84,14 @@ def test_model_base_year_takes_a_whole_number_or_an_integer_string(year):
         ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": 1899.7}, "bad model JSON: base_year must be a whole number"),
         ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": math.inf}, "bad model JSON: base_year must be a whole number"),
         ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "b1": 10**400}, "bad model JSON: int too large to convert to float"),
+        # a wire number follows the CSV digit rule: no boolean, no "_", no digit outside ASCII
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "b1": True}, "bad model JSON: not a number: True"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": False}, "bad model JSON: not a number: False"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "b1": "0_02"}, "bad model JSON: not a number: '0_02'"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "ln_Y0": " 4_3 "}, "bad model JSON: not a number: ' 4_3 '"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": "1_899"}, "bad model JSON: not a number: '1_899'"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "base_year": "١٨٩٩"}, "bad model JSON: not a number: '١٨٩٩'"),
+        ({**dict.fromkeys(MODEL_KEYS[:6], 0.1), "b2": "０.06"}, "bad model JSON: not a number: '０.06'"),
     ],
 )
 def test_model_from_dict_errors(obj, message):
@@ -134,6 +142,9 @@ def test_numeric_strings_are_accepted():
         ({"type": "power-law", "input": "land", "coeff": 1, "exponent": 1}, "not a valid Factor"),
         ({"type": "ces", "A": "one", "alpha": 0.4, "p": 2, "v": 1}, "could not convert"),
         ({"type": "ces", "A": None, "alpha": 0.4, "p": 2, "v": 1}, "bad function JSON"),
+        ({"type": "cobb-douglas", "A": True, "alpha": 0.5, "beta": 0.5}, "bad function JSON: not a number: True"),
+        ({"type": "cobb-douglas", "A": 1, "alpha": "0_5", "beta": 0.5}, "bad function JSON: not a number: '0_5'"),
+        ({"type": "cobb-douglas", "A": 1, "alpha": 0.5, "beta": "٠.5"}, "bad function JSON: not a number: '٠.5'"),
     ],
 )
 def test_function_from_dict_errors(obj, message):
@@ -192,7 +203,6 @@ class _Int(int):
         ({_Str("a"): _Str("b")}, '{\n  "a": "b"\n}'),
         (_Float(1.5), "1.5"),
         (_Int(3), "3"),
-        ({1: 2}, "{\n  1: 2\n}"),
     ],
 )
 def test_emit_json_exact_text(obj, text):
@@ -207,7 +217,9 @@ def test_emit_json_rejects_non_finite(obj):
         emit_json(obj)
 
 
-@pytest.mark.parametrize("obj, name", [({1, 2}, "set"), (np.bool_(True), "bool"), ([object()], "object")])
+@pytest.mark.parametrize(
+    "obj, name", [({1, 2}, "set"), (np.bool_(True), "bool"), ([object()], "object"), ({1: 2}, "int key")]
+)
 def test_emit_json_rejects_other_types(obj, name):
     with pytest.raises(TypeError, match=f"cannot serialize {name}$"):
         emit_json(obj)

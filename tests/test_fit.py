@@ -18,14 +18,12 @@ intercepts = st.floats(min_value=1.0, max_value=6.0)
 
 
 def exponential_series(b, ln_x0, n=24, base_year=1899, name="x"):
-    years = tuple(range(base_year, base_year + n))
     values = tuple(math.exp(ln_x0 + b * t) for t in range(n))
-    return TimeSeries(name=name, base_year=base_year, years=years, values=values)
+    return TimeSeries(name=name, base_year=base_year, values=values)
 
 
 def constant_series(c, n=3, name="x"):
-    years = tuple(range(1899, 1899 + n))
-    return TimeSeries(name=name, base_year=1899, years=years, values=(c,) * n)
+    return TimeSeries(name=name, base_year=1899, values=(c,) * n)
 
 
 def test_constant_series_has_zero_slope_and_unit_r2():
@@ -58,9 +56,7 @@ def test_round_trip_recovery(b, ln_x0, n):
 @settings(max_examples=200)
 def test_scaling_values_only_shifts_intercept(b, ln_x0, c):
     s = exponential_series(b, ln_x0)
-    scaled = TimeSeries(
-        name=s.name, base_year=s.base_year, years=s.years, values=tuple(v * c for v in s.values)
-    )
+    scaled = TimeSeries(name=s.name, base_year=s.base_year, values=tuple(v * c for v in s.values))
     b0, ln0, _ = fit_log_linear(s)
     b1, ln1, _ = fit_log_linear(scaled)
     assert b1 == pytest.approx(b0, rel=1e-12)
@@ -85,7 +81,7 @@ def test_residual_zero_iff_exactly_exponential():
     bent = list(exact.values)
     bent[10] *= 1.02
     _, _, diag2 = fit_log_linear(
-        TimeSeries(name="x", base_year=1899, years=exact.years, values=tuple(bent))
+        TimeSeries(name="x", base_year=1899, values=tuple(bent))
     )
     assert diag2.residual_max_abs > 1e-12
     assert diag2.r_squared < 1.0
@@ -141,12 +137,7 @@ def test_fit_of_generated_trajectory_matches_model(cd1928):
         "Y": [math.exp(cd1928.ln_Y0 + cd1928.b3 * t) for t in range(24)],
     }
     series = {
-        name: TimeSeries(
-            name=name,
-            base_year=1899,
-            years=tuple(range(1899, 1923)),
-            values=tuple(vals),
-        )
+        name: TimeSeries(name=name, base_year=1899, values=tuple(vals))
         for name, vals in values.items()
     }
     model, _ = fit_system(series["L"], series["K"], series["Y"])
