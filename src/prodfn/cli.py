@@ -39,7 +39,7 @@ from .core import (
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
-from .ingest import CsvFormatError, _ascii_digits, _fmt_float, _write_csv, load_series, normalize_base100, write_series
+from .ingest import CsvFormatError, _fmt_float, _read_number, _write_csv, load_series, normalize_base100, write_series
 from .invariants import (
     _b3_between,
     _deviation,
@@ -113,28 +113,19 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _year(x) -> int:
-    """int(x) for a whole number or an integer string; int() alone would cut 1899.7 to 1899."""
+    """int(x) under `_read_number` for a whole number or an integer string; int() would cut 1899.7 to 1899."""
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"base_year must be a whole number, got {x!r}")
-    return int(x)
+    return _read_number(x, int)
 
 
-def _wire_number(parse):
-    """parse(x) for a JSON number or a numeric string under the CSV digit rule; a boolean is no number."""
-    def read(x):
-        if isinstance(x, bool) or (isinstance(x, str) and not _ascii_digits(x.strip())):
-            raise ValueError(f"not a number: {x!r}")
-        return parse(x)
-    return read
-
-
-_PARSE = {"input": Factor, "base_year": _wire_number(_year)}  # every other field is a float
+_PARSE = {"input": Factor, "base_year": _year}  # every other field is a float
 
 
 def _wire(cls, tag=None, keys=None):
     """(tag, JSON keys in emitted order, (name, parser, default) per field to read)."""
     fields = dataclasses.fields(cls)  # once, at import: it is slow per call
-    read = tuple((f.name, _PARSE.get(f.name, _wire_number(float)), f.default) for f in fields)
+    read = tuple((f.name, _PARSE.get(f.name, _read_number), f.default) for f in fields)
     return tag, keys or tuple(f.name for f in fields), read
 
 
@@ -234,12 +225,12 @@ def load_model_source(path: str) -> ExponentialModel:
 
 
 def _parse_grid(spec: str) -> tuple[float, float, float]:
-    """Parse 'start:stop:step' into three floats; _grid checks the range."""
+    """Parse 'start:stop:step' into three numbers under `_read_number`; _grid checks the range."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be START:STOP:STEP, got {spec!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(map(_read_number, parts))
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {spec!r}") from None
 
@@ -396,16 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--family", required=True, choices=FAMILIES)
     p_derive.add_argument(
         "--alpha",
-        type=float,
+        type=_read_number,
         default=None,
         help="share parameter in (0,1); default is the constant-returns value when it exists",
     )
     p_derive.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="tolerance of the CES reducibility gate"
+        "--tol", type=_read_number, default=DEFAULT_TOL, help="tolerance of the CES reducibility gate"
     )
     p_derive.add_argument(
         "--horizon",
-        type=float,
+        type=_read_number,
         default=DEFAULT_HORIZON,
         help="invariance is checked on t in [0, horizon] years",
     )
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--model", required=True, help="fit JSON or model text file")
     p_check.add_argument("--function", required=True, help="function JSON (or derive report)")
     p_check.add_argument("--grid", required=True, type=_parse_grid, help="time grid START:STOP:STEP")
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_check.add_argument("--tol", type=_read_number, default=DEFAULT_TOL)
     p_check.add_argument("--table", help="also write a CSV table (t,Y_model,Y_fn,rel_dev) here")
     p_check.set_defaults(func=cmd_check)
 

@@ -61,9 +61,8 @@ def fit_system(
     The series must cover identical year ranges; the shared first year
     becomes the model's base year.
     """
-    spans = {s.name: (s.years[0], s.years[-1]) for s in (labor, capital, output)}
-    if len(set(spans.values())) != 1:
-        detail = ", ".join(f"{name}: {a}..{b}" for name, (a, b) in spans.items())
+    if not labor.years == capital.years == output.years:
+        detail = ", ".join(f"{s.name}: {s.years[0]}..{s.years[-1]}" for s in (labor, capital, output))
         raise SeriesAlignmentError(f"series cover different year ranges ({detail})")
 
     b1, ln_L0, diag_L = fit_log_linear(labor)

@@ -3,7 +3,9 @@
 Expected CSV dialect: UTF-8, comma-separated, one header row, ASCII digits,
 decimal point '.', no thousands or `_` digit separators.  Years must be
 consecutive integers and all values strictly positive; nothing is
-interpolated, deflated or smoothed.
+interpolated, deflated or smoothed.  That digit rule is the program's one
+number rule: `_read_number` applies it to every number read from outside,
+CSV cells, JSON fields and command-line options alike.
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
         if len(row) <= max(where):
             return CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
         raw_year = row[where[0]].strip()
-        if (cur := _number(int, raw_year)) is None:
+        try:
+            cur = _read_number(raw_year, int)
+        except ValueError:
             return CsvFormatError(f"non-integer year {raw_year!r}", row=row_no)
         if year is not None and cur != year + 1:
             message = f"duplicate year {cur}" if cur == year else f"non-consecutive year {cur} after {year}"
@@ -150,7 +154,9 @@ def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatErro
         year = cur
         for col, i in zip(value_cols, where[1:]):
             raw = row[i].strip()
-            if (v := _number(float, raw)) is None:
+            try:
+                v = _read_number(raw)
+            except ValueError:
                 return CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no)
             if not (math.isfinite(v) and v > 0.0):
                 return CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
@@ -162,12 +168,12 @@ def _ascii_digits(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _number(parse, raw: str):
-    """parse(raw), or None where it fails or `raw` breaks the digit rule of `_ascii_digits`."""
-    try:
-        return parse(raw) if _ascii_digits(raw) else None
-    except ValueError:
-        return None
+def _read_number(x, parse=float):
+    """parse(x) for a number read from outside the program: a CSV cell, a JSON field or an option.
+    A boolean, or a string whose stripped text breaks `_ascii_digits`, raises ValueError."""
+    if isinstance(x, bool) or (isinstance(x, str) and not _ascii_digits(x.strip())):
+        raise ValueError(f"not a number: {x!r}")
+    return parse(x)
 
 
 def normalize_base100(series: TimeSeries) -> TimeSeries:

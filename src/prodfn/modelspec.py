@@ -100,7 +100,7 @@ class ModelSpec:
     output_var: str
 
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # ASCII digits: \d takes any Unicode digit
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     rf"""

@@ -11,11 +11,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prodfn import ProdfnError
-from prodfn.cli import MAX_GRID_POINTS, _grid, _parse_grid, load_model_source, main
+from prodfn import CsvFormatError, ProdfnError, load_series
+from prodfn.cli import (
+    MAX_GRID_POINTS,
+    InputFormatError,
+    _grid,
+    _parse_grid,
+    build_parser,
+    load_model_source,
+    main,
+    model_from_dict,
+)
 from conftest import CD1928
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -425,6 +434,90 @@ def test_check_usage_error_on_bad_grid(tmp_path, capsys):
 def test_parse_grid_rejects_a_part_that_is_not_a_number():
     with pytest.raises(argparse.ArgumentTypeError, match="grid must be numeric, got '0:x:1'"):
         _parse_grid("0:x:1")
+
+
+# ---------------------------------------------------------------------------
+# numbers in options: the digit rule of CSV cells and JSON fields
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["derive", "--from-spec", "m", "--family", "cobb-douglas", "--alpha", "0_5"], "--alpha", "0_5"),
+        (["derive", "--from-spec", "m", "--family", "cobb-douglas", "--horizon", "2_4"], "--horizon", "2_4"),
+        (["check", "--model", "m", "--function", "f", "--grid", "0:1:1", "--tol", "1_0"], "--tol", "1_0"),
+        (["simulate", "--model", "m", "--grid", "0:٢:1"], "--grid", "0:٢:1"),
+        (["simulate", "--model", "m", "--grid", "1_0:20:1"], "--grid", "1_0:20:1"),
+    ],
+    ids=["alpha", "horizon", "tol", "grid-arabic-indic", "grid-separator"],
+)
+def test_an_option_number_breaking_the_digit_rule_is_a_usage_error(argv, option, text, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and repr(text) in err
+
+
+def test_signed_exponent_and_nan_option_numbers_stay_accepted():
+    parser = build_parser()
+    args = parser.parse_args(["derive", "--from-spec", "m", "--family", "ces", "--horizon=-1", "--tol=nan"])
+    assert args.horizon == -1.0 and math.isnan(args.tol)  # --tol=nan exits 4 later: golden check_tol_nan
+    assert parser.parse_args(["simulate", "--model", "m", "--grid=-1e3:0:1"]).grid == (-1000.0, 0.0, 1.0)
+
+
+def _digit_run(draw, min_size):
+    # ASCII digits, Arabic-Indic two, fullwidth five and a digit separator
+    return "".join(draw(st.lists(st.sampled_from("01579٢５_"), min_size=min_size, max_size=4)))
+
+
+@st.composite
+def number_texts(draw):
+    sign = st.sampled_from(["", "+", "-"])
+    text = draw(sign) + _digit_run(draw, 1)
+    if draw(st.booleans()):
+        text += "." + _digit_run(draw, 0)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(sign) + _digit_run(draw, 1)
+    pad = st.sampled_from(["", " ", "\xa0", "\u2003"])
+    return draw(pad) + text + draw(pad)
+
+
+def _csv_cell(text):
+    try:
+        return load_series(io.StringIO(f"year,v\n1899,{text}\n"), "year", ["v"])[0].values[0]
+    except CsvFormatError:
+        return None
+
+
+def _json_field(text):
+    try:
+        return model_from_dict({**BARE_MODEL, "b1": text}).b1
+    except InputFormatError:
+        return None
+
+
+def _horizon_option(text):
+    argv = ["derive", "--from-spec", "m", "--family", "cobb-douglas", f"--horizon={text}"]
+    try:
+        with redirect_stderr(io.StringIO()):
+            return build_parser().parse_args(argv).horizon
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=number_texts())
+def test_a_csv_cell_a_json_field_and_an_option_read_a_number_alike(text):
+    try:
+        value = float(text)  # float() also reads "1_0" and non-ASCII digits
+    except ValueError:
+        value = None
+    assume(value is None or (math.isfinite(value) and value > 0.0))  # what a CSV cell may hold
+    read = _csv_cell(text)
+    assert _json_field(text) == read and _horizon_option(text) == read
+    if read is not None:
+        assert read == value and text.strip().isascii() and "_" not in text
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ INPUTS = {
     "crs_not_finite.txt": _rates("1e308", "-1e308", "1e308"),
     "uneven.txt": _rates(0.02, 0.06, 0.03, (1, 2, 3)),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
+    "arabic_indic.txt": _rates(0.02549605, 0.06472564, 0.03592651, ("١٠٦.65", 100.70, 106.08)),
     "fit.json": (
         '{"model": {"b1": 0.02549605, "b2": 0.06472564, "b3": 0.03592651, '
         '"ln_L0": 4.66953290, "ln_K0": 4.61213588, "ln_Y0": 4.66415363, '
@@ -141,6 +142,7 @@ CASES = [
     ("derive_crs_not_finite", "derive --from-spec {dir}/crs_not_finite.txt --family cobb-douglas --horizon 0"),
     ("derive_bad_alpha", "derive --from-spec {dir}/m.txt --family cobb-douglas --alpha 1.5"),
     ("derive_bad_spec", "derive --from-spec {dir}/bad.mdl --family cobb-douglas"),
+    ("derive_spec_non_ascii_digit", "derive --from-spec {dir}/arabic_indic.txt --family cobb-douglas"),
     ("derive_spec_missing", "derive --from-spec {dir}/nope.txt --family cobb-douglas"),
     ("derive_fit_fundamental", "derive --from-fit {dir}/fit.json --family fundamental"),
     (

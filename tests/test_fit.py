@@ -121,12 +121,20 @@ def test_fit_system_constant_series():
 
 
 def test_fit_system_rejects_mismatched_ranges():
-    with pytest.raises(SeriesAlignmentError, match=r"1899\.\.1922.*1900\.\.1923"):
+    with pytest.raises(SeriesAlignmentError) as ei:
         fit_system(
             exponential_series(0.02, 4.0, name="L", base_year=1899),
             exponential_series(0.06, 4.0, name="K", base_year=1900),
             exponential_series(0.035, 4.0, name="Y", base_year=1899),
         )
+    assert str(ei.value) == "series cover different year ranges (L: 1899..1922, K: 1900..1923, Y: 1899..1922)"
+
+
+def test_fit_system_compares_years_even_where_names_repeat():
+    first = TimeSeries("x", 1899, (1.0, 2.0, 4.0))
+    with pytest.raises(SeriesAlignmentError) as ei:
+        fit_system(first, TimeSeries("x", 1950, (1.0, 3.0, 9.0)), first)
+    assert str(ei.value) == "series cover different year ranges (x: 1899..1901, x: 1950..1952, x: 1899..1901)"
 
 
 def test_fit_of_generated_trajectory_matches_model(cd1928):

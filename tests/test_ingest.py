@@ -148,6 +148,28 @@ def test_a_digit_separator_is_not_a_number(text, message):
     assert str(ei.value) == message
 
 
+@pytest.mark.parametrize(
+    "x, parse, want",
+    [
+        ("1.5", float, 1.5),
+        ("\xa01899\u2003", int, 1899),
+        (" -1e3 ", float, -1000.0),
+        ("nan", float, math.nan),
+        (7, float, 7.0),
+    ],
+)
+def test_read_number_parses_what_keeps_the_digit_rule(x, parse, want):
+    got = ingest._read_number(x, parse)
+    assert type(got) is parse and (got == want or math.isnan(want) and math.isnan(got))
+
+
+@pytest.mark.parametrize("x", [True, False, "1_0", " 0_5 ", "١٠", "１０"])
+def test_read_number_rejects_a_boolean_and_text_breaking_the_digit_rule(x):
+    with pytest.raises(ValueError) as ei:
+        ingest._read_number(x)
+    assert str(ei.value) == f"not a number: {x!r}"
+
+
 def test_non_ascii_padding_around_ascii_digits_is_stripped():
     (s,) = load_series(io.StringIO("year,L\n\xa01899\u2003,\u20031.5\xa0\n1900,2\n"), "year", ["L"])
     assert tuple(s.years) == (1899, 1900) and s.values == (1.5, 2.0)

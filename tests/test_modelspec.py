@@ -325,6 +325,9 @@ def test_parse_never_crashes_on_text(text):
         ("var L = 1\n# no semicolon\n", "line 3, col 1: expected ';', got end of input", 3, 1),
         ("var L = 1 # c", "line 1, col 14: expected ';', got end of input", 1, 14),
         ("var L = 1e400;", "line 1, col 9: number '1e400' overflows a float", 1, 9),
+        # a NUMBER holds ASCII digits only, although float() reads any Unicode decimal digit
+        ("var L = ١٠٦.65;", "line 1, col 9: unexpected character '١'", 1, 9),
+        ("var L = 1;\ndL/dt = 0.0٢ * L;", "line 2, col 12: unexpected character '٢'", 2, 12),
         ("var L = 1;\r\n  dL/dt = -1e999 * L;", "line 2, col 11: number '-1e999' overflows a float", 2, 11),
     ],
 )
@@ -474,7 +477,7 @@ def _token_path(text):
 
 # "1" is no variable name, yet the token grammar reads `d1/dt` as the rate of "1"
 soup_names = st.sampled_from(["L", "K", "Y", "X1", "a_b", "var", "dt", "labor", "1"])
-soup_numbers = st.sampled_from(["106.65", "-2", "+.5", "1.", "1e3", ".5E-2", "0", "1e400", "007"])
+soup_numbers = st.sampled_from(["106.65", "-2", "+.5", "1.", "1e3", ".5E-2", "0", "1e400", "007", "١٠٦.65"])
 soup_comments = ["# c\n", " #x # y\n"]  # a comment can fall between any two tokens
 soup_ws = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n", *soup_comments])
 soup_sep = st.sampled_from([" ", "\t", "\n", "\r\n", "  ", *soup_comments])
