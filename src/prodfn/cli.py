@@ -41,7 +41,6 @@ from .core import (
 from .fit import SeriesAlignmentError, fit_system
 from .ingest import CsvFormatError, _fmt_float, _read_number, _write_csv, load_series, normalize_base100, write_series
 from .invariants import (
-    _b3_between,
     _deviation,
     _require_tol,
     ces_like_member,
@@ -65,7 +64,13 @@ DEFAULT_STEP = 0.25
 DEFAULT_TOL = 1e-9
 MAX_GRID_POINTS = 10**6
 
-FAMILIES = ("cobb-douglas", "ces-like", "ces", "fundamental")
+# Each builder looks its derivation up by name when called, so a wrapped module attribute is seen.
+FAMILIES = {
+    "cobb-douglas": lambda model, alpha, tol: [cobb_douglas_member(model, alpha)],
+    "ces-like": lambda model, alpha, tol: [ces_like_member(model, alpha)],
+    "ces": lambda model, alpha, tol: [ces_reduction(model, alpha, tol=tol)],
+    "fundamental": lambda model, alpha, tol: [fundamental_invariant_L(model), fundamental_invariant_K(model)],
+}
 
 
 class InputFormatError(CsvFormatError):
@@ -235,6 +240,14 @@ def _parse_grid(spec: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"grid must be numeric, got {spec!r}") from None
 
 
+def _option_number(text: str) -> float:
+    """An option's number under `_read_number`; argparse reports the error as a usage error."""
+    try:
+        return _read_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive time grid start, start + step, ... up to stop, checked before allocating."""
     if not all(map(math.isfinite, (start, stop, step))):
@@ -266,35 +279,19 @@ def cmd_fit(args) -> int:
 
 def cmd_derive(args) -> int:
     model = load_model_source(args.from_fit or args.from_spec)
-
-    # recorded apart: the report lists this warning after the derivation's
-    with warnings.catch_warnings(record=True) as crs_caught:
-        warnings.simplefilter("always")
-        crs = crs_elasticities(model) if model.b1 != model.b2 else None
-
     notes: list[str] = []
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif _b3_between(model):  # then b1 != b2, so crs exists
-        alpha = crs[0]
-    else:
-        alpha = 0.5
-        notes.append(
-            "b3 is not strictly between b1 and b2, so no constant-returns share "
-            "exists in (0, 1); defaulting alpha to 0.5"
-        )
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.family == "fundamental":
-            fns = [fundamental_invariant_L(model), fundamental_invariant_K(model)]
-        elif args.family == "cobb-douglas":
-            fns = [cobb_douglas_member(model, alpha)]
-        elif args.family == "ces-like":
-            fns = [ces_like_member(model, alpha)]
+        crs = crs_elasticities(model) if model.b1 != model.b2 else None
+        n_crs = len(caught)
+        if args.alpha is not None:
+            alpha = args.alpha
+        elif crs is not None and 0.0 < crs[0] < 1.0:
+            alpha = crs[0]
         else:
-            fns = [ces_reduction(model, alpha, tol=args.tol)]
-
+            alpha = 0.5
+            notes.append("no constant-returns alpha lies in (0, 1); defaulting alpha to 0.5")
+        fns = FAMILIES[args.family](model, alpha, args.tol)
         grid = _grid(0.0, args.horizon, DEFAULT_STEP)
         entries = [
             {
@@ -315,7 +312,8 @@ def cmd_derive(args) -> int:
     else:
         report.update(entries[0])
     report["crs"] = None if crs is None else {"alpha": crs[0], "beta": crs[1]}
-    report["warnings"] = notes + [str(w.message) for w in caught + crs_caught]
+    # the derivation's warnings first, then the CRS step's
+    report["warnings"] = notes + [str(w.message) for w in caught[n_crs:] + caught[:n_crs]]
     report["model"] = model_to_dict(model)
     print(emit_json(report))
     return EXIT_OK
@@ -328,6 +326,7 @@ def cmd_check(args) -> int:
     _require_tol(args.tol)
     Y, y_fn, rel = _deviation(fn, model, t)
     max_dev = float(np.max(rel))
+    passed = max_dev <= args.tol
     if args.table:
         _write_csv(args.table, ("t", "Y_model", "Y_fn", "rel_dev"), (t, Y, y_fn, rel))
 
@@ -340,10 +339,10 @@ def cmd_check(args) -> int:
         },
         "tol": args.tol,
         "max_relative_deviation": max_dev,
-        "pass": bool(max_dev <= args.tol),
+        "pass": passed,
     }
     print(emit_json(report))
-    return EXIT_OK if max_dev <= args.tol else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(args) -> int:
@@ -387,16 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--family", required=True, choices=FAMILIES)
     p_derive.add_argument(
         "--alpha",
-        type=_read_number,
+        type=_option_number,
         default=None,
-        help="share parameter in (0,1); default is the constant-returns value when it exists",
+        help="share parameter in (0,1); default is the constant-returns value when it lies in (0,1)",
     )
     p_derive.add_argument(
-        "--tol", type=_read_number, default=DEFAULT_TOL, help="tolerance of the CES reducibility gate"
+        "--tol", type=_option_number, default=DEFAULT_TOL, help="tolerance of the CES reducibility gate"
     )
     p_derive.add_argument(
         "--horizon",
-        type=_read_number,
+        type=_option_number,
         default=DEFAULT_HORIZON,
         help="invariance is checked on t in [0, horizon] years",
     )
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--model", required=True, help="fit JSON or model text file")
     p_check.add_argument("--function", required=True, help="function JSON (or derive report)")
     p_check.add_argument("--grid", required=True, type=_parse_grid, help="time grid START:STOP:STEP")
-    p_check.add_argument("--tol", type=_read_number, default=DEFAULT_TOL)
+    p_check.add_argument("--tol", type=_option_number, default=DEFAULT_TOL)
     p_check.add_argument("--table", help="also write a CSV table (t,Y_model,Y_fn,rel_dev) here")
     p_check.set_defaults(func=cmd_check)
 

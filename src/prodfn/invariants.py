@@ -76,11 +76,6 @@ def _require_nonzero(model: ExponentialModel, names, why: str) -> None:
             raise DegenerateRateError(f"{name} = 0: {why}")
 
 
-def _b3_between(model: ExponentialModel) -> bool:
-    """True when b3 lies strictly between b1 and b2: the CRS alpha is then in (0, 1)."""
-    return model.b1 < model.b3 < model.b2 or model.b2 < model.b3 < model.b1
-
-
 def fundamental_invariant_L(model: ExponentialModel) -> PowerLaw:
     """First fundamental invariant: Y = (Y0 / L0**(b3/b1)) * L**(b3/b1).
 
@@ -124,10 +119,12 @@ def crs_elasticities(model: ExponentialModel) -> tuple[float, float]:
 
         alpha = (b3 - b2) / (b1 - b2),   beta = (b3 - b1) / (b2 - b1)
 
-    alpha + beta = 1 identically.  alpha lies in (0, 1) exactly when b3 is
-    strictly between b1 and b2; outside that range the pair is still a valid
-    invariant exponent but not an economic share, which is reported as a
-    ShareRangeWarning rather than an error.
+    alpha + beta = 1 identically.  The computed alpha is tested against
+    (0, 1): in exact arithmetic that means b3 lies strictly between b1 and
+    b2, but within a few ulps of either rate alpha can round to 0 or 1.
+    Outside (0, 1) the pair is still a valid invariant exponent but not an
+    economic share, which is reported as a ShareRangeWarning rather than an
+    error.
     """
     if model.b1 == model.b2:
         raise DegenerateRateError("b1 = b2: the CRS elasticity formula is singular")
@@ -135,10 +132,9 @@ def crs_elasticities(model: ExponentialModel) -> tuple[float, float]:
     beta = (model.b3 - model.b1) / (model.b2 - model.b1)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise DomainError(f"CRS elasticities are not finite: alpha = {alpha!r}, beta = {beta!r}")
-    if not _b3_between(model):
+    if not 0.0 < alpha < 1.0:
         warnings.warn(
-            f"b3 is not strictly between b1 and b2, so alpha = {alpha!r} "
-            "falls outside (0, 1)",
+            f"the constant-returns alpha = {alpha!r} falls outside (0, 1)",
             ShareRangeWarning,
             stacklevel=2,
         )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prodfn import CsvFormatError, ProdfnError, load_series
+import prodfn.cli
+from prodfn import CsvFormatError, ExponentialModel, ProdfnError, crs_elasticities, load_series
 from prodfn.cli import (
     MAX_GRID_POINTS,
     InputFormatError,
@@ -221,6 +223,52 @@ def test_derive_alpha_fallback_warns(tmp_path, capsys):
     assert report["alpha"] == 0.5
     assert any("defaulting alpha to 0.5" in w for w in report["warnings"])
     assert any("outside (0, 1)" in w for w in report["warnings"])
+
+
+@st.composite
+def rates_near_a_tie(draw):
+    """(b1, b2, b3) with b3 0 to 4 ulps from b1 or b2: the CRS alpha may round to 0 or 1."""
+    rate = st.floats(min_value=-0.2, max_value=0.2)
+    b1, b2 = draw(rate), draw(rate)
+    assume(b1 != b2)
+    b3 = draw(st.sampled_from((b1, b2)))
+    toward = draw(st.sampled_from((-math.inf, math.inf)))
+    for _ in range(draw(st.integers(0, 4))):
+        b3 = math.nextafter(b3, toward)
+    return b1, b2, b3
+
+
+@pytest.fixture(scope="module")
+def share_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("share")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=rates_near_a_tie(), family=st.sampled_from(["cobb-douglas", "ces-like", "ces"]))
+def test_one_share_rule_decides_the_crs_warning_and_the_default_alpha(share_dir, rates, family):
+    model = ExponentialModel(*rates, 0.0, 0.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alpha = crs_elasticities(model)[0]
+    assert bool(caught) == (not 0.0 < alpha < 1.0)
+    path = share_dir / "model.json"
+    path.write_text(json.dumps(dict(zip(("b1", "b2", "b3"), rates), ln_L0=0, ln_K0=0, ln_Y0=0)))
+    code, _, err = _main_captured(["derive", "--from-fit", str(path), "--family", family])
+    assert code in (0, 4)
+    assert "alpha must lie strictly in (0, 1)" not in err
+
+
+def test_derive_looks_up_each_derivation_when_called(tmp_path, capsys, monkeypatch):
+    # a profiler that wraps the module attributes must see every derivation derive runs
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    called = []
+    for name in ("cobb_douglas_member", "fundamental_invariant_K"):
+        real = getattr(prodfn.cli, name)
+        monkeypatch.setattr(prodfn.cli, name, lambda *a, _name=name, _real=real: called.append(_name) or _real(*a))
+    for family in ("cobb-douglas", "fundamental"):
+        assert run(capsys, "derive", "--from-spec", str(spec), "--family", family)[0] == 0
+    assert called == ["cobb_douglas_member", "fundamental_invariant_K"]
 
 
 def test_derive_rejects_bad_alpha(tmp_path, capsys):
@@ -448,8 +496,11 @@ def test_parse_grid_rejects_a_part_that_is_not_a_number():
         (["check", "--model", "m", "--function", "f", "--grid", "0:1:1", "--tol", "1_0"], "--tol", "1_0"),
         (["simulate", "--model", "m", "--grid", "0:٢:1"], "--grid", "0:٢:1"),
         (["simulate", "--model", "m", "--grid", "1_0:20:1"], "--grid", "1_0:20:1"),
+        (["derive", "--from-spec", "m", "--family", "cobb-douglas", "--alpha", "abc"], "--alpha", "abc"),
+        (["derive", "--from-spec", "m", "--family", "cobb-douglas", "--horizon", "abc"], "--horizon", "abc"),
+        (["check", "--model", "m", "--function", "f", "--grid", "0:1:1", "--tol", "abc"], "--tol", "abc"),
     ],
-    ids=["alpha", "horizon", "tol", "grid-arabic-indic", "grid-separator"],
+    ids=["alpha", "horizon", "tol", "grid-arabic-indic", "grid-separator", "alpha-abc", "horizon-abc", "tol-abc"],
 )
 def test_an_option_number_breaking_the_digit_rule_is_a_usage_error(argv, option, text, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -457,6 +508,7 @@ def test_an_option_number_breaking_the_digit_rule_is_a_usage_error(argv, option,
     assert ei.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: " in err and repr(text) in err
+    assert "_read_number" not in err
 
 
 def test_signed_exponent_and_nan_option_numbers_stay_accepted():

@@ -44,6 +44,8 @@ INPUTS = {
     "inf_rate.txt": _rates("1e999", 0.06, 0.03),
     "underflow.txt": _rates(0.02, 0.03, 0.1),
     "crs_not_finite.txt": _rates("1e308", "-1e308", "1e308"),
+    # b3 a few ulps from b1: alpha = (b3 - b2)/(b1 - b2) rounds to 1
+    "crs_rounds.txt": _rates("-0.000912982581611807", "-0.01010178704225237", "-0.0009129825816118074"),
     "uneven.txt": _rates(0.02, 0.06, 0.03, (1, 2, 3)),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "arabic_indic.txt": _rates(0.02549605, 0.06472564, 0.03592651, ("١٠٦.65", 100.70, 106.08)),
@@ -136,7 +138,9 @@ CASES = [
     ("derive_spec_ces_gate", "derive --from-spec {dir}/m.txt --family ces"),
     ("derive_even_ces", "derive --from-spec {dir}/even.txt --family ces --alpha 0.4"),
     ("derive_near_ces_tol", "derive --from-spec {dir}/near.txt --family ces --alpha 0.5 --tol 0.01"),
+    ("derive_near_ces_default_alpha", "derive --from-spec {dir}/near.txt --family ces --tol 0.01"),
     ("derive_outside_cobb_douglas", "derive --from-spec {dir}/outside.txt --family cobb-douglas"),
+    ("derive_crs_share_rounds", "derive --from-spec {dir}/crs_rounds.txt --family cobb-douglas"),
     ("derive_zero_fundamental", "derive --from-spec {dir}/zero.txt --family fundamental"),
     ("derive_infinite_rate", "derive --from-spec {dir}/inf_rate.txt --family cobb-douglas"),
     ("derive_crs_not_finite", "derive --from-spec {dir}/crs_not_finite.txt --family cobb-douglas --horizon 0"),
