@@ -280,11 +280,14 @@ def cmd_fit(args) -> int:
 def cmd_derive(args) -> int:
     model = load_model_source(args.from_fit or args.from_spec)
     notes: list[str] = []
+    fundamental = args.family == "fundamental"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         crs = crs_elasticities(model) if model.b1 != model.b2 else None
         n_crs = len(caught)
-        if args.alpha is not None:
+        if fundamental:
+            alpha = None  # neither invariant takes a share, so --alpha is ignored
+        elif args.alpha is not None:
             alpha = args.alpha
         elif crs is not None and 0.0 < crs[0] < 1.0:
             alpha = crs[0]
@@ -305,8 +308,7 @@ def cmd_derive(args) -> int:
             for fn in fns
         ]
 
-    fundamental = args.family == "fundamental"
-    report: dict = {"family": args.family, "alpha": None if fundamental else alpha}
+    report: dict = {"family": args.family, "alpha": alpha}
     if fundamental:
         report["functions"] = entries
     else:
@@ -388,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=_option_number,
         default=None,
-        help="share parameter in (0,1); default is the constant-returns value when it lies in (0,1)",
+        help="share parameter in (0,1); default is the constant-returns value when it lies in (0,1); "
+        "ignored by --family fundamental",
     )
     p_derive.add_argument(
         "--tol", type=_option_number, default=DEFAULT_TOL, help="tolerance of the CES reducibility gate"

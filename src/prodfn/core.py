@@ -194,8 +194,23 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
     t is years since model.base_year, scalar or array (applied elementwise).
     Raises DomainError when a level overflows or underflows to 0, naming the
     variable and the first offending t.
+
+    The grid's ends decide the domain: when every exponent argument
+    ln_X0 + b*t at t = min(t) and t = max(t) lies in (-745, 709), where exp
+    is positive and finite, each level is built in one buffer with no range
+    check, because rounding is monotone and the two ends bound every other
+    argument.  Otherwise the grid is walked to name the first bad t.
     """
     t_arr = np.asarray(t, dtype=float)
+    ends = (float(t_arr.min()), float(t_arr.max())) if t_arr.size else ()
+    args = ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3))
+    if all(-745.0 < ln0 + b * end < 709.0 for ln0, b in args for end in ends):  # NaN fails
+        levels = []
+        for ln0, b in args:
+            x = t_arr * b
+            x += ln0
+            levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))
+        return tuple(levels)
     if not np.isfinite(t_arr).all():
         raise DomainError("t must be finite")
     with np.errstate(over="ignore"):

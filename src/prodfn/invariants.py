@@ -218,7 +218,12 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
         raise DomainError("t_grid must be nonempty")
     L, K, Y = trajectory(model, t)
     y_fn = evaluate(fn, L, K)
-    return Y, y_fn, np.abs(y_fn - Y) / Y
+    if t.ndim == 0:  # floats: keep an np.float64 deviation
+        return Y, y_fn, np.abs(y_fn - Y) / Y
+    rel = y_fn - Y  # one buffer for the whole metric
+    np.abs(rel, out=rel)
+    rel /= Y
+    return Y, y_fn, rel
 
 
 def constancy_check(

@@ -848,3 +848,15 @@ def test_a_leftover_prodfn_log_changes_nothing(argv, tmp_path):
     assert debug == verbose == unset
     code, out, err = unset
     assert out and (code != 0 or err == "")  # `check` exits 1 here: the function is perturbed
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter shows any warning that escapes the CLI; the golden replay ignores them
+
+
+def test_an_overflowing_rate_times_t_writes_only_its_error_line(tmp_path):
+    (tmp_path / "m.txt").write_text(EQUAL_RATES_TEXT.replace("0.5", "5").replace("0.25", "5"))
+    argv = ["simulate", "--model", "m.txt", "--grid=0:1e308:1e303"]
+    code, out, err = _python(tmp_path, "-W", "always", "-m", "prodfn", *argv)
+    assert (code, out) == (4, "")
+    assert err == '{"error": {"type": "DomainError", "message": "L(t) overflows at t = 1e+303"}}\n'

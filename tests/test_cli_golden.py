@@ -47,6 +47,7 @@ INPUTS = {
     # b3 a few ulps from b1: alpha = (b3 - b2)/(b1 - b2) rounds to 1
     "crs_rounds.txt": _rates("-0.000912982581611807", "-0.01010178704225237", "-0.0009129825816118074"),
     "uneven.txt": _rates(0.02, 0.06, 0.03, (1, 2, 3)),
+    "rate5.txt": _rates(5, 5, 5),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "arabic_indic.txt": _rates(0.02549605, 0.06472564, 0.03592651, ("١٠٦.65", 100.70, 106.08)),
     "fit.json": (
@@ -141,6 +142,7 @@ CASES = [
     ("derive_near_ces_default_alpha", "derive --from-spec {dir}/near.txt --family ces --tol 0.01"),
     ("derive_outside_cobb_douglas", "derive --from-spec {dir}/outside.txt --family cobb-douglas"),
     ("derive_crs_share_rounds", "derive --from-spec {dir}/crs_rounds.txt --family cobb-douglas"),
+    ("derive_fundamental_no_share", "derive --from-spec {dir}/outside.txt --family fundamental"),
     ("derive_zero_fundamental", "derive --from-spec {dir}/zero.txt --family fundamental"),
     ("derive_infinite_rate", "derive --from-spec {dir}/inf_rate.txt --family cobb-douglas"),
     ("derive_crs_not_finite", "derive --from-spec {dir}/crs_not_finite.txt --family cobb-douglas --horizon 0"),
@@ -198,6 +200,8 @@ CASES = [
     ("simulate_bare", "simulate --model {dir}/bare.json --grid 0:2:0.5"),
     ("simulate_grid_too_large", "simulate --model {dir}/m.txt --grid 0:1e12:1e-3"),
     ("simulate_overflow", "simulate --model {dir}/m.txt --grid 0:100000:100000"),
+    # b * t overflows although t is finite
+    ("simulate_rate_times_t_overflows", "simulate --model {dir}/rate5.txt --grid=0:1e308:1e303"),
     ("simulate_trajectory_underflow", "simulate --model {dir}/underflow.txt --grid=-8000:-7999:1"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),

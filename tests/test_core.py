@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodfn import (
@@ -272,3 +273,107 @@ def test_trajectory_keeps_subnormal_levels_and_empty_t():
     assert 0.0 < L < 2.2250738585072014e-308
     L, _, _ = trajectory(m, np.array([], dtype=float))
     assert L.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the grid-ends rule against the former checked walk
+
+
+# The trajectory that checked every level element by element, kept unchanged
+# as the reference for the differential test below.
+def _walked_trajectory(model, t):
+    t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise DomainError("t must be finite")
+    with np.errstate(over="ignore"):
+        L = np.exp(model.ln_L0 + model.b1 * t_arr)
+        K = np.exp(model.ln_K0 + model.b2 * t_arr)
+        Y = np.exp(model.ln_Y0 + model.b3 * t_arr)
+    for name, x in (("L", L), ("K", K), ("Y", Y)):
+        ok = x > 0.0
+        ok &= x < np.inf  # x is never nan: its exponent is finite or +-inf
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            what = "overflows" if np.ravel(x)[i] == np.inf else "underflows to 0"
+            raise DomainError(f"{name}(t) {what} at t = {float(np.ravel(t_arr)[i])}")
+    if t_arr.ndim == 0:
+        return float(L), float(K), float(Y)
+    return L, K, Y
+
+
+def _levels(path, model, t):
+    """The bytes, dtype, shape and type of each level, or the DomainError message."""
+    try:
+        levels = path(model, t)
+    except DomainError as exc:
+        return str(exc)
+    return type(levels), [
+        (type(x), x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else (type(x), x.hex())
+        for x in levels
+    ]
+
+
+# where exp overflows and underflows to 0, and the bounds of the grid-ends rule
+EXP_EDGES = [(709.782712893384, -745.1332191019411), (709.0, -745.0)]
+edge_rates = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 5.0, -5.0, 1e-300, 1e300]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def models_and_grids(draw):
+    rates = [draw(edge_rates) for _ in range(3)]
+    lns = [draw(st.floats(min_value=-20.0, max_value=20.0)) for _ in range(3)]
+    if draw(st.booleans()):  # three equal levels: a point at an edge for one is at the edge for all
+        rates, lns = rates[:1] * 3, lns[:1] * 3
+    m = ExponentialModel(*rates, *lns)
+    points = draw(st.lists(st.floats(min_value=-50.0, max_value=50.0), max_size=6))
+    edges = draw(st.sampled_from(EXP_EDGES))
+    for _ in range(draw(st.integers(0, 3))):  # a point whose argument lies a few ulps from an edge
+        i = draw(st.integers(0, 2))
+        if rates[i] != 0.0:
+            t = (draw(st.sampled_from(edges)) - lns[i]) / rates[i]
+            ulps = draw(st.integers(-4, 4))
+            for _ in range(abs(ulps)):
+                t = math.nextafter(t, math.copysign(math.inf, ulps))
+            points.insert(draw(st.integers(0, len(points))), t)
+    for _ in range(draw(st.integers(0, 1))):  # NaN, +-inf, or a finite t where b*t overflows
+        special = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e303]))
+        points.insert(draw(st.integers(0, len(points))), special)
+    shape = draw(st.sampled_from(["1-d", "0-d", "0-d array", "2-d"]))
+    if shape == "0-d" and points:
+        return m, points[0]
+    if shape == "0-d array" and points:
+        return m, np.array(points[0])
+    if shape == "2-d" and len(points) % 2 == 0:
+        return m, np.array(points, dtype=float).reshape(2, -1)
+    return m, np.array(points, dtype=float)
+
+
+@given(models_and_grids())
+@example((ExponentialModel(5.0, 5.0, 5.0, 0.0, 0.0, 0.0), np.arange(0.0, 1e308, 1e303)))  # b*t overflows
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.array([5.0, 708.9999999999999, -744.9999999999999])))
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.array([5.0, 709.0, -3.0])))
+@example((ExponentialModel(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.array([[0.0, 745.0], [3.0, -2.0]])))
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.array([], dtype=float)))
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), -745.0))
+@settings(max_examples=600)
+def test_grid_ends_rule_agrees_with_the_checked_walk(model_and_grid):
+    m, t = model_and_grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _levels(trajectory, m, t) == _levels(_walked_trajectory, m, t)
+
+
+def test_a_grid_inside_the_range_of_exp_is_not_walked(cd1928, monkeypatch):
+    def walked(x):
+        raise AssertionError("the checked walk ran")
+
+    t = np.arange(0.0, 24.25, 0.25)
+    want, want_scalar = _walked_trajectory(cd1928, t), _walked_trajectory(cd1928, 3.0)
+    monkeypatch.setattr(np, "isfinite", walked)
+    assert all(np.array_equal(a, b) for a, b in zip(trajectory(cd1928, t), want))
+    assert trajectory(cd1928, 3.0) == want_scalar
+    with pytest.raises(AssertionError, match="walk"):
+        trajectory(cd1928, 1e6)

@@ -27,6 +27,7 @@ from prodfn import (
     identity_chain_check,
     trajectory,
 )
+from prodfn.invariants import _deviation
 from conftest import CD1928
 
 T_GRID = np.arange(0.0, 24.0 + 1e-9, 0.5)
@@ -373,6 +374,24 @@ def test_constancy_power_law_reads_coeff():
     # same exponent b3/b2, coefficient fixed by another model's initial levels
     other = fundamental_invariant_K(model(0.05, CD1928.b2, CD1928.b3, l0=1.0, k0=9.0, y0=3.0))
     assert constancy_check(other, CD1928, T_GRID) > 0.9
+
+
+def test_a_scalar_grid_keeps_scalar_types():
+    fn = cobb_douglas_member(CD1928, 0.5)
+    for t in (3.0, np.float64(3.0), np.array(3.0)):
+        Y, y_fn, rel = _deviation(fn, CD1928, t)
+        assert (type(Y), type(y_fn), type(rel)) == (float, float, np.float64)
+        assert type(constancy_check(fn, CD1928, t)) is float
+
+
+@given(m=models, alpha=shares, n=st.integers(1, 40))
+@settings(max_examples=100)
+def test_deviation_is_the_relative_distance_bit_for_bit(m, alpha, n):
+    grid = np.linspace(-30.0, 30.0, n)
+    for fn in (cobb_douglas_member(m, alpha), ces_like_member(m, alpha), fundamental_invariant_K(m)):
+        Y, y_fn, rel = _deviation(fn, m, grid)
+        assert rel.tobytes() == (np.abs(y_fn - Y) / Y).tobytes()
+        assert constancy_check(fn, m, grid) == float(rel.max())
 
 
 def test_constancy_empty_grid_rejected():
