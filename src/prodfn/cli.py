@@ -326,11 +326,13 @@ def cmd_check(args) -> int:
     fn = function_from_dict(_parse_json(args.function, _read_text(args.function)))
     t = _grid(*args.grid)
     _require_tol(args.tol)
-    Y, y_fn, rel = _deviation(fn, model, t)
-    max_dev = float(np.max(rel))
-    passed = max_dev <= args.tol
     if args.table:
+        Y, y_fn, rel = _deviation(fn, model, t)
+        max_dev = float(np.max(rel))
         _write_csv(args.table, ("t", "Y_model", "Y_fn", "rel_dev"), (t, Y, y_fn, rel))
+    else:
+        max_dev = constancy_check(fn, model, t)
+    passed = max_dev <= args.tol
 
     report = {
         "grid": {

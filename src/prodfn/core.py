@@ -188,6 +188,18 @@ class CES:
 ProductionFunction = Union[PowerLaw, CobbDouglas, GeneralizedCES, CES]
 
 
+def _inside_exp(model: ExponentialModel, t_arr: np.ndarray) -> bool:
+    """Grid-ends rule: every ln_X0 + b*t lies in (-745, 709), where exp is positive and
+    finite, if it does at min(t) and max(t), since rounding is monotone.  NaN fails it."""
+    if not t_arr.size:
+        return True
+    lo, hi = float(t_arr.min()), float(t_arr.max())
+    for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
+        if not (-745.0 < ln0 + b * lo < 709.0 and -745.0 < ln0 + b * hi < 709.0):  # NaN fails
+            return False
+    return True
+
+
 def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalarish, Scalarish]:
     """Closed-form trajectory (L(t), K(t), Y(t)) of the exponential system.
 
@@ -195,18 +207,13 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
     Raises DomainError when a level overflows or underflows to 0, naming the
     variable and the first offending t.
 
-    The grid's ends decide the domain: when every exponent argument
-    ln_X0 + b*t at t = min(t) and t = max(t) lies in (-745, 709), where exp
-    is positive and finite, each level is built in one buffer with no range
-    check, because rounding is monotone and the two ends bound every other
-    argument.  Otherwise the grid is walked to name the first bad t.
+    When the grid-ends rule (`_inside_exp`) holds, each level is built in one
+    buffer with no range check; otherwise the grid is walked to name the first bad t.
     """
     t_arr = np.asarray(t, dtype=float)
-    ends = (float(t_arr.min()), float(t_arr.max())) if t_arr.size else ()
-    args = ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3))
-    if all(-745.0 < ln0 + b * end < 709.0 for ln0, b in args for end in ends):  # NaN fails
+    if _inside_exp(model, t_arr):
         levels = []
-        for ln0, b in args:
+        for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
             x = t_arr * b
             x += ln0
             levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))

@@ -31,6 +31,7 @@ from .core import (
     PowerLaw,
     ProdfnError,
     ProductionFunction,
+    _inside_exp,
     evaluate,
     trajectory,
 )
@@ -226,6 +227,9 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
     return Y, y_fn, rel
 
 
+_BLOCK = 16384  # points per block of a long grid: 128 KB per array, so a block's arrays stay in L2
+
+
 def constancy_check(
     fn: ProductionFunction, model: ExponentialModel, t_grid
 ) -> float:
@@ -233,8 +237,24 @@ def constancy_check(
 
     Deviations are relative to Y(t) because index levels grow and an absolute
     metric would conflate scale with error.
+
+    A 1-D grid over `_BLOCK` points inside trajectory's grid-ends rule is
+    reduced block by block by the same arithmetic, so no temporary outgrows a
+    block and the maximum is the same float.  A floating-point event in any
+    block, even one the caller ignores, drops that result: the grid is then
+    computed whole under the caller's `np.errstate`, giving the whole-grid
+    warnings, errors and inf/nan.  Short, 0-d and 2-D grids, and grids leaving
+    the range of exp, are computed whole.
     """
-    return float(_deviation(fn, model, t_grid)[2].max())
+    t = np.asarray(t_grid, dtype=float)
+    if t.size > _BLOCK and t.ndim == 1 and _inside_exp(model, t):
+        events = []
+        with np.errstate(all="call", call=lambda err, flag: events.append(err)):
+            blocks = (t[i : i + _BLOCK] for i in range(0, t.size, _BLOCK))
+            worst = max(float(_deviation(fn, model, block)[2].max()) for block in blocks)
+        if not events:
+            return worst
+    return float(_deviation(fn, model, t)[2].max())
 
 
 def identity_chain_check(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,10 +24,12 @@ from prodfn.cli import (
     _grid,
     _parse_grid,
     build_parser,
+    function_from_dict,
     load_model_source,
     main,
     model_from_dict,
 )
+from prodfn.invariants import _deviation
 from conftest import CD1928
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -391,6 +394,32 @@ def test_check_self_derived_function_passes(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(106.08, rel=1e-12)
+
+
+def test_check_without_a_table_reduces_a_long_grid_in_blocks(tmp_path, capsys):
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    _, derive_out, _ = run(capsys, "derive", "--from-spec", str(spec), "--family", "ces-like")
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(derive_out)
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "check", "--model", str(spec), "--function", str(fn_path), "--grid", "0:2400:0.0025"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    t = _grid(0.0, 2400.0, 0.0025)
+    assert report["grid"]["n"] == len(t) == 960_001
+    fn = function_from_dict(json.loads(derive_out))
+    whole = _deviation(fn, load_model_source(str(spec)), t)[2].max()
+    assert report["max_relative_deviation"] == float(whole)
+    # the grid takes 7.3 MiB and about 22 MiB while it is built; the whole
+    # grid's deviation at once would add about 40 MiB
+    assert peak <= 24 * 2**20
 
 
 def test_check_perturbed_function_fails(tmp_path, capsys):

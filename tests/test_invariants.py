@@ -1,5 +1,8 @@
 import math
+import struct
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from prodfn import (
     DegenerateRateError,
     ExponentialModel,
     Factor,
+    GeneralizedCES,
     NotReducibleError,
+    PowerLaw,
     ShareRangeWarning,
     SubstitutionRangeWarning,
     ces_like_member,
@@ -27,6 +32,7 @@ from prodfn import (
     identity_chain_check,
     trajectory,
 )
+from prodfn import invariants
 from prodfn.invariants import _deviation
 from conftest import CD1928
 
@@ -408,6 +414,158 @@ def test_every_derived_family_is_invariant(m, alpha):
     assert constancy_check(fundamental_invariant_K(m), m, grid) <= 1e-9
     assert constancy_check(cobb_douglas_member(m, alpha), m, grid) <= 1e-9
     assert constancy_check(ces_like_member(m, alpha), m, grid) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# blocked constancy_check against the whole-grid reduction
+
+
+def _whole_grid(fn, m, t):
+    return float(_deviation(fn, m, t)[2].max())
+
+
+def _outcome(check, fn, m, t):
+    """The result's bits, or the exception's type and message; with every warning message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = struct.pack("<d", check(fn, m, t))
+        except Exception as exc:  # whatever the whole grid raises, the blocks must raise
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def assert_blocked_is_whole(fn, m, t):
+    assert _outcome(constancy_check, fn, m, t) == _outcome(_whole_grid, fn, m, t)
+    for mode in ("raise", "ignore"):
+        with np.errstate(all=mode):
+            assert _outcome(constancy_check, fn, m, t) == _outcome(_whole_grid, fn, m, t)
+
+
+def _nonzero(lo, hi):
+    return st.builds(lambda x, s: math.copysign(x, s), st.floats(lo, hi), st.sampled_from([1.0, -1.0]))
+
+
+def _member(draw, family, m):
+    """A derived member of `family` and the model it is derived on, or None if it does not exist."""
+    alpha = draw(shares)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SubstitutionRangeWarning)
+        try:
+            if family == "power-law":
+                return draw(st.sampled_from([fundamental_invariant_L, fundamental_invariant_K]))(m), m
+            if family == "cobb-douglas":
+                return cobb_douglas_member(m, alpha), m
+            if family == "ces-like":
+                return ces_like_member(m, alpha), m
+            m = model(m.b1, m.b1, m.b3, m.ln_L0, m.ln_L0, m.ln_L0)
+            return ces_reduction(m, alpha), m
+        except DomainError:  # an anchoring constant that overflows
+            return None
+
+
+def _any_function(draw, family):
+    """Any function of `family`: deviations that grow with |t|, or overflow."""
+    coeff = st.floats(-50.0, 50.0).map(math.exp)
+    power = st.floats(-60.0, 60.0)
+    outer = st.floats(-5.0, 5.0)
+    if family == "power-law":
+        return PowerLaw(draw(coeff), draw(power), draw(st.sampled_from(Factor)))
+    if family == "cobb-douglas":
+        return CobbDouglas(draw(coeff), draw(shares), draw(power))
+    if family == "ces-like":
+        return GeneralizedCES(draw(coeff), draw(coeff), draw(shares), draw(power), draw(power), draw(outer))
+    return CES(draw(coeff), draw(shares), draw(_nonzero(0.01, 60.0)), draw(outer))
+
+
+@st.composite
+def blocked_cases(draw):
+    """(block, fn, model, grid), block boundaries, a 1-point last block and exact multiples all likely.
+
+    The function is a derived member (deviations at rounding level) or any
+    member of its family (deviations that grow with |t|, or overflow); the
+    grid may be unsorted, 2-D, hold a NaN, an infinity or a t where b*t
+    overflows, or leave the range of exp.
+    """
+    block = draw(st.sampled_from([1, 7, 64]))
+    m = model(*(draw(_nonzero(0.05, 2.0)) for _ in range(3)), *(draw(st.floats(-2.0, 2.0)) for _ in range(3)))
+    family = draw(st.sampled_from(["power-law", "cobb-douglas", "ces-like", "ces"]))
+    derived = _member(draw, family, m) if draw(st.booleans()) else None
+    fn, m = derived or (_any_function(draw, family), m)
+    n = max(1, block * draw(st.integers(0, 6)) + draw(st.sampled_from([-1, 0, 1, block // 2])))
+    span = draw(st.sampled_from([30.0, 400.0]))  # inside the range of exp, or often not
+    lo = draw(st.floats(-span, span))
+    t = np.linspace(lo, lo + draw(st.floats(0.0, span)), n)
+    if draw(st.booleans()):
+        t = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(t)
+    if draw(st.integers(0, 3)) == 0:
+        t[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+    if n % 2 == 0 and draw(st.integers(0, 3)) == 0:
+        t = t.reshape(2, -1)
+    return block, fn, m, t
+
+
+@given(blocked_cases())
+@settings(max_examples=400)
+def test_blocked_constancy_is_the_whole_grid_reduction(case):
+    block, fn, m, t = case
+    with mock.patch.object(invariants, "_BLOCK", block):
+        assert_blocked_is_whole(fn, m, t)
+
+
+D2_FUNCTION = CobbDouglas(A=1e300, alpha=0.5, beta=50.0)  # overflows in evaluate, never in trajectory
+
+
+@pytest.mark.parametrize(
+    "fn, m, t",
+    [
+        # K overflows in the second block, L only in the fourth: the whole-grid walk names L
+        (cobb_douglas_member(CD1928, 0.5), model(0.9, -1.0, 0.5), np.r_[np.zeros(7), -800.0, np.zeros(13), 800.0]),
+        (cobb_douglas_member(CD1928, 0.5), CD1928, np.r_[np.linspace(0.0, 24.0, 20), np.nan]),  # NaN in the last block
+        (ces_like_member(CD1928, 0.5), CD1928, np.random.default_rng(5).permutation(np.linspace(-30.0, 30.0, 50))),
+        (ces_like_member(CD1928, 0.5), CD1928, np.linspace(0.0, 24.0, 50).reshape(2, -1)),
+        (D2_FUNCTION, CD1928, np.linspace(0.0, 24.0, 50)),
+    ],
+    ids=["K-early-L-late", "nan-in-last-block", "unsorted", "2-d", "d2-overflow"],
+)
+def test_blocked_constancy_edge_cases(fn, m, t, monkeypatch):
+    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    assert_blocked_is_whole(fn, m, t)
+
+
+def test_blocked_constancy_names_labor_before_capital(monkeypatch):
+    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    t = np.r_[np.zeros(7), -800.0, np.zeros(13), 800.0]
+    with pytest.raises(DomainError, match=r"^L\(t\) overflows at t = 800.0$"):
+        constancy_check(cobb_douglas_member(CD1928, 0.5), model(0.9, -1.0, 0.5), t)
+
+
+def test_blocked_constancy_warns_once_as_the_whole_grid_does(monkeypatch):
+    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    (value, caught) = _outcome(constancy_check, D2_FUNCTION, CD1928, np.linspace(0.0, 24.0, 50))
+    assert value == struct.pack("<d", math.inf)
+    assert caught == ["overflow encountered in multiply"]
+
+
+@pytest.mark.parametrize("fn", [fundamental_invariant_K(CD1928), cobb_douglas_member(CD1928, 0.5),
+                                ces_like_member(CD1928, 0.5), D2_FUNCTION])
+def test_blocked_constancy_at_the_real_block_size(fn):
+    t = np.linspace(0.0, 24.0, 2 * invariants._BLOCK + 1)  # two full blocks and a 1-point last block
+    assert_blocked_is_whole(fn, CD1928, t)
+
+
+@pytest.mark.parametrize("derive", [cobb_douglas_member, ces_like_member])
+def test_blocked_constancy_peak_memory_on_a_long_grid(derive):
+    fn = derive(CD1928, 0.4)
+    t = np.linspace(0.0, 24.0, 10**6)
+    tracemalloc.start()
+    try:
+        dev = constancy_check(fn, CD1928, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dev <= 1e-9
+    assert peak <= 2 * 2**20  # the whole grid at once allocates about 40 MiB
 
 
 # ---------------------------------------------------------------------------
