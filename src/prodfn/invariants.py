@@ -227,7 +227,9 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
     return Y, y_fn, rel
 
 
-_BLOCK = 16384  # points per block of a long grid: 128 KB per array, so a block's arrays stay in L2
+# points per block of a long grid: 64 KB per array, in L2 and small enough that
+# glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
+_BLOCK = 8192
 
 
 def constancy_check(
