@@ -417,7 +417,7 @@ def test_check_without_a_table_reduces_a_long_grid_in_blocks(tmp_path, capsys):
     fn = function_from_dict(json.loads(derive_out))
     whole = _deviation(fn, load_model_source(str(spec)), t)[2].max()
     assert report["max_relative_deviation"] == float(whole)
-    # the grid takes 7.3 MiB and about 22 MiB while it is built; the whole
+    # the grid takes 7.3 MiB, and twice that while it is built; the whole
     # grid's deviation at once would add about 40 MiB
     assert peak <= 24 * 2**20
 

@@ -480,7 +480,7 @@ def _any_function(draw, family):
 
 @st.composite
 def blocked_cases(draw):
-    """(block, fn, model, grid), block boundaries, a 1-point last block and exact multiples all likely.
+    """(block, fn, model, grid), with block boundaries, a 1-point last block and exact multiples likely.
 
     The function is a derived member (deviations at rounding level) or any
     member of its family (deviations that grow with |t|, or overflow); the
@@ -542,7 +542,7 @@ def test_blocked_constancy_names_labor_before_capital(monkeypatch):
 
 def test_blocked_constancy_warns_once_as_the_whole_grid_does(monkeypatch):
     monkeypatch.setattr(invariants, "_BLOCK", 7)
-    (value, caught) = _outcome(constancy_check, D2_FUNCTION, CD1928, np.linspace(0.0, 24.0, 50))
+    value, caught = _outcome(constancy_check, D2_FUNCTION, CD1928, np.linspace(0.0, 24.0, 50))
     assert value == struct.pack("<d", math.inf)
     assert caught == ["overflow encountered in multiply"]
 
