@@ -39,7 +39,7 @@ from .core import (
     trajectory,
 )
 from .fit import SeriesAlignmentError, fit_system
-from .ingest import CsvFormatError, _fmt_float, _read_number, _write_csv, load_series, normalize_base100, write_series
+from .ingest import _FLOAT_FORMAT, CsvFormatError, _fmt_float, _read_number, _write_csv, load_series, normalize_base100, write_series
 from .invariants import (
     _deviation,
     _require_tol,
@@ -96,7 +96,16 @@ def emit_json(obj, indent: int = 0) -> str:
         for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"cannot serialize {type(k).__name__} key")
-        items = [f"{inner}{_encode_str(k)}: {emit_json(v, indent + 1)}" for k, v in obj.items()]
+        # a finite float or a str value is formatted here, every other value by a recursive call
+        items = [
+            f"{inner}{_encode_str(k)}: "
+            + (
+                text
+                if (vcls := type(v)) is float and "n" not in (text := _FLOAT_FORMAT % v)
+                else _encode_str(v) if vcls is str else emit_json(v, indent + 1)
+            )
+            for k, v in obj.items()
+        ]
         return "{" + ",".join(items) + pad + "}"
     if cls is list or isinstance(obj, (list, tuple)):
         if not obj:

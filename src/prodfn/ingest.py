@@ -212,10 +212,15 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
     _write_csv(dest, header, (years, *(s.values for s in series_list)))
 
 
+# every float written out: 17 significant digits round-trip any binary64 value;
+# no finite number prints an "n", and "inf" and "nan" do
+_FLOAT_FORMAT = "%.17g"
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(x, ".17g")
+    return _FLOAT_FORMAT % x
 
 
 def _write_csv(dest, header: Sequence[str], columns) -> None:
@@ -228,8 +233,8 @@ def _write_csv(dest, header: Sequence[str], columns) -> None:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
-        fmt = ",".join(["%.17g"] * len(columns)) + "\n"  # "%.17g" % x prints format(x, ".17g")
+        fmt = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
         for row in zip(*columns):
-            if "n" in (text := fmt % row):  # no finite number prints an "n"; "inf" and "nan" do
+            if "n" in (text := fmt % row):
                 list(map(_fmt_float, map(float, row)))  # raises at the first of them
             stream.write(text)

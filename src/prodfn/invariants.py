@@ -212,12 +212,56 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
     return CES(A=A, alpha=alpha, p=p, v=v)
 
 
-def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
-    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid."""
+# points per block of a long grid: 64 KB per array, in L2 and small enough that
+# glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
+_BLOCK = 8192
+
+# (model, grid shape, grid bytes, (L, K, Y)) of the last event-free trajectory of a grid of at most
+# _BLOCK points computed whole; holding the model keeps its id from being reused
+_held = None
+
+
+def _whole_trajectory(model: ExponentialModel, t: np.ndarray):
+    """trajectory(model, t) of a grid computed whole, reused while the model and grid stay the same.
+
+    The derivations of one model are all checked on one grid, so the last trajectory of at most
+    `_BLOCK` points is held, read-only, and returned again for the same model object and a grid of
+    the same shape and bytes.  A miss is computed under a recorder of floating-point events and held
+    only if none occurred and nothing raised; otherwise it is computed again under the caller's
+    `np.errstate`, so values, warnings and exceptions are trajectory's own.
+    """
+    global _held
+    if t.size > _BLOCK:
+        return trajectory(model, t)
+    grid = t.tobytes()
+    held = _held
+    if held is not None and held[0] is model and held[1] == t.shape and held[2] == grid:
+        return held[3]
+    events = []
+    try:
+        with np.errstate(all="call", call=lambda err, flag: events.append(err)):
+            levels = trajectory(model, t)
+    except Exception:
+        events.append(None)
+    if events:
+        return trajectory(model, t)
+    for x in levels:
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    _held = (model, t.shape, grid, levels)
+    return levels
+
+
+def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid, whole: bool = True):
+    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid.
+
+    A grid computed `whole` takes its levels from `_whole_trajectory`, so Y may be read-only;
+    a block of a long grid (`whole=False`) calls trajectory itself.
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise DomainError("t_grid must be nonempty")
-    L, K, Y = trajectory(model, t)
+    L, K, Y = _whole_trajectory(model, t) if whole else trajectory(model, t)
     y_fn = evaluate(fn, L, K)
     if t.ndim == 0:  # floats: keep an np.float64 deviation
         return Y, y_fn, np.abs(y_fn - Y) / Y
@@ -225,11 +269,6 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
     np.abs(rel, out=rel)
     rel /= Y
     return Y, y_fn, rel
-
-
-# points per block of a long grid: 64 KB per array, in L2 and small enough that
-# glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
-_BLOCK = 8192
 
 
 def constancy_check(
@@ -246,14 +285,15 @@ def constancy_check(
     block, even one the caller ignores, drops that result: the grid is then
     computed whole under the caller's `np.errstate`, giving the whole-grid
     warnings, errors and inf/nan.  Short, 0-d and 2-D grids, and grids leaving
-    the range of exp, are computed whole.
+    the range of exp, are computed whole, a short one reusing the last
+    trajectory of the same model and grid (`_whole_trajectory`).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size > _BLOCK and t.ndim == 1 and _inside_exp(model, t):
         events = []
         with np.errstate(all="call", call=lambda err, flag: events.append(err)):
             blocks = (t[i : i + _BLOCK] for i in range(0, t.size, _BLOCK))
-            worst = max(float(_deviation(fn, model, block)[2].max()) for block in blocks)
+            worst = max(float(_deviation(fn, model, block, False)[2].max()) for block in blocks)
         if not events:
             return worst
     return float(_deviation(fn, model, t)[2].max())
