@@ -96,16 +96,12 @@ def emit_json(obj, indent: int = 0) -> str:
         for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"cannot serialize {type(k).__name__} key")
-        # a finite float or a str value is formatted here, every other value by a recursive call
-        items = [
-            f"{inner}{_encode_str(k)}: "
-            + (
-                text
-                if (vcls := type(v)) is float and "n" not in (text := _FLOAT_FORMAT % v)
-                else _encode_str(v) if vcls is str else emit_json(v, indent + 1)
-            )
-            for k, v in obj.items()
-        ]
+        items = []
+        for k, v in obj.items():  # a finite float or a str is formatted here, not by a recursive call
+            vcls = type(v)
+            if vcls is not float or "n" in (text := _FLOAT_FORMAT % v):
+                text = _encode_str(v) if vcls is str else emit_json(v, indent + 1)
+            items.append(f"{inner}{_encode_str(k)}: {text}")
         return "{" + ",".join(items) + pad + "}"
     if cls is list or isinstance(obj, (list, tuple)):
         if not obj:

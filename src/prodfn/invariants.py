@@ -217,7 +217,8 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
 _BLOCK = 8192
 
 # (model, grid shape, grid bytes, (L, K, Y)) of the last event-free trajectory of a grid of at most
-# _BLOCK points computed whole; holding the model keeps its id from being reused
+# _BLOCK points computed whole; holding the model keeps its id from being reused.  It is read once
+# and replaced whole, so a thread sees one entry or another, never a mix.
 _held = None
 
 
@@ -241,13 +242,13 @@ def _whole_trajectory(model: ExponentialModel, t: np.ndarray):
     try:
         with np.errstate(all="call", call=lambda err, flag: events.append(err)):
             levels = trajectory(model, t)
-    except Exception:
+    except DomainError:
         events.append(None)
     if events:
         return trajectory(model, t)
-    for x in levels:
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
+    if t.ndim:  # a 0-d grid's levels are floats
+        for x in levels:
+            x.setflags(write=False)
     _held = (model, t.shape, grid, levels)
     return levels
 
