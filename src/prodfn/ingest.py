@@ -212,9 +212,7 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
     _write_csv(dest, header, (years, *(s.values for s in series_list)))
 
 
-# every float written out: 17 significant digits round-trip any binary64 value;
-# no finite number prints an "n", and "inf" and "nan" do
-_FLOAT_FORMAT = "%.17g"
+_FLOAT_FORMAT = "%.17g"  # every float written out; no finite number prints an "n", "inf" and "nan" do
 
 
 def _fmt_float(x: float) -> str:

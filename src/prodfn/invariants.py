@@ -216,9 +216,7 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
 # glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
 _BLOCK = 8192
 
-# (model, grid shape, grid bytes, (L, K, Y)) of the last event-free trajectory of a grid of at most
-# _BLOCK points computed whole; holding the model keeps its id from being reused.  It is read once
-# and replaced whole, so a thread sees one entry or another, never a mix.
+# (model, grid shape, grid bytes, (L, K, Y)), read once and replaced whole; holding the model keeps its id from reuse
 _held = None
 
 
@@ -256,8 +254,7 @@ def _whole_trajectory(model: ExponentialModel, t: np.ndarray):
 def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid, whole: bool = True):
     """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid.
 
-    A grid computed `whole` takes its levels from `_whole_trajectory`, so Y may be read-only;
-    a block of a long grid (`whole=False`) calls trajectory itself.
+    Y may be read-only (`_whole_trajectory`); a block of a long grid passes `whole=False`.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
@@ -294,7 +291,7 @@ def constancy_check(
         events = []
         with np.errstate(all="call", call=lambda err, flag: events.append(err)):
             blocks = (t[i : i + _BLOCK] for i in range(0, t.size, _BLOCK))
-            worst = max(float(_deviation(fn, model, block, False)[2].max()) for block in blocks)
+            worst = max(float(_deviation(fn, model, block, whole=False)[2].max()) for block in blocks)
         if not events:
             return worst
     return float(_deviation(fn, model, t)[2].max())

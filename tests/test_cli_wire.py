@@ -2,9 +2,12 @@
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prodfn.cli as cli
 from prodfn import CES, CobbDouglas, ExponentialModel, Factor, FitDiagnostics, GeneralizedCES, PowerLaw
@@ -223,3 +226,80 @@ def test_emit_json_rejects_non_finite(obj):
 def test_emit_json_rejects_other_types(obj, name):
     with pytest.raises(TypeError, match=f"cannot serialize {name}$"):
         emit_json(obj)
+
+
+def _fmt_float_reference(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return format(x, ".17g")
+
+
+def emit_json_reference(obj, indent: int = 0) -> str:
+    """emit_json with one recursive call per value, as it was before dict floats and strings were inlined."""
+    cls = type(obj)  # the exact types first: they are nearly every value
+    if cls is float:
+        return _fmt_float_reference(obj)
+    if cls is str or isinstance(obj, str):
+        return _encode_str(obj)
+    pad = "\n" + "  " * indent
+    inner = pad + "  "
+    if cls is dict or isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"cannot serialize {type(k).__name__} key")
+        items = [f"{inner}{_encode_str(k)}: {emit_json_reference(v, indent + 1)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + pad + "}"
+    if cls is list or isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ",".join([inner + emit_json_reference(v, indent + 1) for v in obj]) + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(float(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+_json_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_json_leaves = st.one_of(
+    _json_floats,
+    _json_floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(st.characters(codec="utf-8")),
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f', " é\U0001f600", "n", "nan"]),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=5),
+        st.dictionaries(st.text(max_size=4), kids, max_size=5),
+        # now and then a key emit_json rejects
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(), st.none(), st.floats()), kids, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+def _emitted(emit, obj):
+    try:
+        return emit(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_json_trees)
+@settings(max_examples=600)
+def test_emit_json_is_the_one_call_per_value_reference(obj):
+    assert _emitted(emit_json, obj) == _emitted(emit_json_reference, obj)

@@ -33,6 +33,7 @@ from prodfn import (
     trajectory,
 )
 from prodfn import invariants
+from prodfn.core import _inside_exp
 from prodfn.invariants import _deviation
 from conftest import CD1928
 
@@ -566,6 +567,150 @@ def test_blocked_constancy_peak_memory_on_a_long_grid(derive):
         tracemalloc.stop()
     assert dev <= 1e-9
     assert peak <= 2 * 2**20  # the whole grid at once allocates about 40 MiB
+
+
+# ---------------------------------------------------------------------------
+# the held trajectory of a grid computed whole, against checks that recompute it
+
+
+_BLOCK = 8192  # the reference's block size
+
+
+def _deviation_reference(fn, model, t_grid):
+    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        raise DomainError("t_grid must be nonempty")
+    L, K, Y = trajectory(model, t)
+    y_fn = evaluate(fn, L, K)
+    if t.ndim == 0:  # floats: keep an np.float64 deviation
+        return Y, y_fn, np.abs(y_fn - Y) / Y
+    rel = y_fn - Y  # one buffer for the whole metric
+    np.abs(rel, out=rel)
+    rel /= Y
+    return Y, y_fn, rel
+
+
+def constancy_check_reference(fn, model, t_grid):
+    """constancy_check as it was before the held trajectory: every check computes its own."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.size > _BLOCK and t.ndim == 1 and _inside_exp(model, t):
+        events = []
+        with np.errstate(all="call", call=lambda err, flag: events.append(err)):
+            blocks = (t[i : i + _BLOCK] for i in range(0, t.size, _BLOCK))
+            worst = max(float(_deviation_reference(fn, model, block)[2].max()) for block in blocks)
+        if not events:
+            return worst
+    return float(_deviation_reference(fn, model, t)[2].max())
+
+
+def _bits(x):
+    """A result's type, shape and bytes, so -0.0 and 0.0 or two NaN payloads differ."""
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    return type(x), np.shape(x), np.asarray(x).tobytes()
+
+
+def _held_outcome(call, mode):
+    """The bits of call() under np.errstate `mode` (None: the default), or its exception; with every warning."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**({"all": mode} if mode else {})):
+        warnings.simplefilter("always")
+        try:
+            result = _bits(call())
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _signed(x):
+    return st.sampled_from([x, -x]) if x == 0.0 else st.just(x)
+
+
+@st.composite
+def check_sequences(draw):
+    """(functions, models, grids, steps): checks that repeat, mix equal but distinct models and
+    grids that are mutated in place between them; each step names its call and its np.errstate."""
+    fields = [draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)).flatmap(_signed)) for _ in range(6)]
+    m = model(*fields)
+    twin = model(*fields)  # equal, not the same object
+    flipped = model(*(-x if x == 0.0 else x for x in fields))  # equal, with every zero field of the other sign
+    models = [m, twin, flipped, model(*(draw(_nonzero(0.05, 2.0)) for _ in range(3)), 0.0, 0.0, 0.0)]
+    families = ["power-law", "cobb-douglas", "ces-like", "ces"]
+    fns = [_any_function(draw, draw(st.sampled_from(families))) for _ in range(3)]
+    span = draw(st.sampled_from([30.0, 400.0]))  # inside the range of exp, or often not
+    grids = [
+        np.linspace(-span, span, draw(st.integers(1, 40))),
+        np.array(draw(st.floats(-span, span))),  # 0-d
+        np.linspace(0.0, span, 2 * draw(st.integers(1, 20))).reshape(2, -1),
+        np.array([0.0, -0.0, 1e308, draw(st.floats(-span, span))]),
+    ]
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([constancy_check, _deviation]),
+                st.integers(0, len(fns) - 1),
+                st.integers(0, len(models) - 1),
+                st.integers(0, len(grids) - 1),
+                st.sampled_from([None, "raise", "ignore"]),
+                # a value written into the grid before the call, at an index taken modulo its size
+                st.one_of(st.none(), st.tuples(st.integers(0, 63), st.floats(-span, span))),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return fns, models, grids, steps
+
+
+REFERENCES = {constancy_check: constancy_check_reference, _deviation: _deviation_reference}
+
+
+@given(check_sequences())
+@settings(max_examples=300)
+def test_held_trajectories_give_what_every_check_computing_its_own_gives(case):
+    fns, models, grids, steps = case
+    with mock.patch.object(invariants, "_held", None):
+        for check, f, m, g, mode, write in steps:
+            t = grids[g]
+            if write is not None:
+                t.flat[write[0] % t.size] = write[1]
+            args = (fns[f], models[m], t)
+            assert _held_outcome(lambda: check(*args), mode) == _held_outcome(lambda: REFERENCES[check](*args), mode)
+
+
+GRID_97 = np.arange(0.0, 24.0 + 0.125, 0.25)
+
+
+def test_one_trajectory_per_model_and_grid():
+    grid = GRID_97.copy()
+    fns = [fundamental_invariant_L(CD1928), fundamental_invariant_K(CD1928),
+           cobb_douglas_member(CD1928, 0.5), ces_like_member(CD1928, 0.5)]
+    with mock.patch.object(invariants, "_held", None), \
+            mock.patch.object(invariants, "trajectory", wraps=trajectory) as traced:
+        devs = [constancy_check(fn, CD1928, grid) for fn in fns]
+        assert traced.call_count == 1
+        assert devs == [constancy_check_reference(fn, CD1928, grid) for fn in fns]
+        grid[-1] += 1.0  # the same array, other bytes
+        constancy_check(fns[0], CD1928, grid)
+        assert traced.call_count == 2
+        held = invariants._held
+        long_grid = np.linspace(0.0, 24.0, 2 * invariants._BLOCK + 1)
+        constancy_check(fns[0], CD1928, long_grid)
+        assert traced.call_count == 5  # three blocks, none of them held
+        _deviation(fns[0], CD1928, long_grid)
+        assert traced.call_count == 6  # computed whole, too long to hold
+        assert invariants._held is held
+        constancy_check(fns[1], CD1928, grid)
+        assert traced.call_count == 6
+
+
+def test_held_levels_are_read_only():
+    with mock.patch.object(invariants, "_held", None):
+        Y = _deviation(cobb_douglas_member(CD1928, 0.5), CD1928, GRID_97)[0]
+        for levels in (invariants._held[3], (Y,)):
+            for x in levels:
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
