@@ -254,7 +254,7 @@ def _option_number(text: str) -> float:
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive time grid start, start + step, ... up to stop, checked before allocating."""
+    """Inclusive, strictly increasing time grid start, start + step, ... up to stop, checked before allocating."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise DomainError("grid START, STOP and STEP must be finite")
     if step <= 0.0 or stop < start:
@@ -262,7 +262,10 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     span = (stop - start) / step + 1e-9  # inf when stop - start overflows
     if span >= MAX_GRID_POINTS:
         raise DomainError(f"grid would hold more than {MAX_GRID_POINTS} points")
-    return start + step * np.arange(int(span) + 1)
+    t = start + step * np.arange(int(span) + 1)
+    if not (t[1:] > t[:-1]).all():
+        raise DomainError("grid points must strictly increase: STEP is below the float spacing of the grid")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ ProductionFunction = Union[PowerLaw, CobbDouglas, GeneralizedCES, CES]
 
 
 def _inside_exp(model: ExponentialModel, t_arr: np.ndarray) -> bool:
-    """Grid-ends rule: every ln_X0 + b*t lies in (-745, 709), where exp is positive and
-    finite, if it does at min(t) and max(t), since rounding is monotone.  NaN fails it."""
+    """`trajectory`'s grid-ends rule: every ln_X0 + b*t lies in (-745, 709), where exp is positive
+    and finite, if it does at min(t) and max(t), since rounding is monotone.  NaN fails it."""
     if not t_arr.size:
         return True
     lo, hi = float(t_arr.min()), float(t_arr.max())

@@ -31,7 +31,6 @@ from .core import (
     PowerLaw,
     ProdfnError,
     ProductionFunction,
-    _inside_exp,
     evaluate,
     trajectory,
 )
@@ -216,57 +215,29 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
 # glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
 _BLOCK = 8192
 
-# (model, grid shape, grid bytes, (L, K, Y)), read once and replaced whole; holding the model keeps its id from reuse
+# (model, grid bytes, (L, K, Y)) of the last one-block grid, read once and replaced whole;
+# holding the model keeps its id from reuse
 _held = None
 
 
-def _whole_trajectory(model: ExponentialModel, t: np.ndarray):
-    """trajectory(model, t) of a grid computed whole, reused while the model and grid stay the same.
-
-    The derivations of one model are all checked on one grid, so the last trajectory of at most
-    `_BLOCK` points is held, read-only, and returned again for the same model object and a grid of
-    the same shape and bytes.  A miss is computed under a recorder of floating-point events and held
-    only if none occurred and nothing raised; otherwise it is computed again under the caller's
-    `np.errstate`, so values, warnings and exceptions are trajectory's own.
-    """
-    global _held
-    if t.size > _BLOCK:
-        return trajectory(model, t)
-    grid = t.tobytes()
-    held = _held
-    if held is not None and held[0] is model and held[1] == t.shape and held[2] == grid:
-        return held[3]
-    events = []
-    try:
-        with np.errstate(all="call", call=lambda err, flag: events.append(err)):
-            levels = trajectory(model, t)
-    except DomainError:
-        events.append(None)
-    if events:
-        return trajectory(model, t)
-    if t.ndim:  # a 0-d grid's levels are floats
-        for x in levels:
-            x.setflags(write=False)
-    _held = (model, t.shape, grid, levels)
-    return levels
-
-
-def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid, whole: bool = True):
-    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid.
-
-    Y may be read-only (`_whole_trajectory`); a block of a long grid passes `whole=False`.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise DomainError("t_grid must be nonempty")
-    L, K, Y = _whole_trajectory(model, t) if whole else trajectory(model, t)
+def _relative(fn: ProductionFunction, L, K, Y):
+    """fn(L, K) and the per-point deviation |fn(L, K) - Y| / Y from the trajectory's Y."""
     y_fn = evaluate(fn, L, K)
-    if t.ndim == 0:  # floats: keep an np.float64 deviation
-        return Y, y_fn, np.abs(y_fn - Y) / Y
+    if isinstance(Y, float):  # a 0-d grid: keep an np.float64 deviation
+        return y_fn, np.abs(y_fn - Y) / Y
     rel = y_fn - Y  # one buffer for the whole metric
     np.abs(rel, out=rel)
     rel /= Y
-    return Y, y_fn, rel
+    return y_fn, rel
+
+
+def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
+    """Y(t), fn(L(t), K(t)) and the per-point deviation |fn(L, K) - Y| / Y on a grid."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        raise DomainError("t_grid must be nonempty")
+    L, K, Y = trajectory(model, t)
+    return (Y, *_relative(fn, L, K, Y))
 
 
 def constancy_check(
@@ -277,22 +248,37 @@ def constancy_check(
     Deviations are relative to Y(t) because index levels grow and an absolute
     metric would conflate scale with error.
 
-    A 1-D grid over `_BLOCK` points inside trajectory's grid-ends rule is
-    reduced block by block by the same arithmetic, so no temporary outgrows a
-    block and the maximum is the same float.  A floating-point event in any
-    block, even one the caller ignores, drops that result: the grid is then
-    computed whole under the caller's `np.errstate`, giving the whole-grid
-    warnings, errors and inf/nan.  Short, 0-d and 2-D grids, and grids leaving
-    the range of exp, are computed whole, a short one reusing the last
-    trajectory of the same model and grid (`_whole_trajectory`).
+    A nonempty 1-D grid is reduced in blocks of at most `_BLOCK` points by the
+    same arithmetic, so no temporary outgrows a block and the maximum is the
+    same float.  The blocks run under a recorder of floating-point events: an
+    event in any block, even one the caller ignores, or a `DomainError` (a
+    block leaving the range of exp) drops the result, and the grid is computed
+    whole by `_deviation` under the caller's `np.errstate`, giving the
+    whole-grid values, warnings and errors.  0-d and 2-D grids are computed
+    whole.  The trajectory of a one-block grid is held when the check saw no
+    event and nothing raised; the next check of the same model object and grid
+    bytes evaluates `fn` on it under the caller's `np.errstate`.
     """
+    global _held
     t = np.asarray(t_grid, dtype=float)
-    if t.size > _BLOCK and t.ndim == 1 and _inside_exp(model, t):
+    if t.ndim == 1 and t.size:
+        grid = t.tobytes() if t.size <= _BLOCK else None
+        held = _held
+        if held is not None and held[0] is model and held[1] == grid:
+            return float(_relative(fn, *held[2])[1].max())
         events = []
-        with np.errstate(all="call", call=lambda err, flag: events.append(err)):
-            blocks = (t[i : i + _BLOCK] for i in range(0, t.size, _BLOCK))
-            worst = max(float(_deviation(fn, model, block, whole=False)[2].max()) for block in blocks)
+        try:
+            with np.errstate(all="call", call=lambda err, flag: events.append(err)):
+                worst = 0.0
+                for i in range(0, t.size, _BLOCK):
+                    levels = None  # free the last block's arrays before the next block's: malloc reuses them
+                    levels = trajectory(model, t[i : i + _BLOCK])
+                    worst = max(worst, float(_relative(fn, *levels)[1].max()))
+        except DomainError:
+            events.append(None)
         if not events:
+            if grid is not None:
+                _held = (model, grid, levels)
             return worst
     return float(_deviation(fn, model, t)[2].max())
 

@@ -48,6 +48,7 @@ INPUTS = {
     "crs_rounds.txt": _rates("-0.000912982581611807", "-0.01010178704225237", "-0.0009129825816118074"),
     "uneven.txt": _rates(0.02, 0.06, 0.03, (1, 2, 3)),
     "rate5.txt": _rates(5, 5, 5),
+    "still.txt": _rates(0, 0, 0),
     "bad.mdl": "var L = 1; dL/dt = 0.1 * K;",
     "arabic_indic.txt": _rates(0.02549605, 0.06472564, 0.03592651, ("١٠٦.65", 100.70, 106.08)),
     "fit.json": (
@@ -195,6 +196,8 @@ CASES = [
     ("check_bad_model_text", "check --model {dir}/bad.mdl --function {dir}/cd.json --grid 0:24:1"),
     ("check_bad_model_json", "check --model {dir}/badmodel.json --function {dir}/cd.json --grid 0:24:1"),
     ("check_trajectory_underflow", "check --model {dir}/underflow.txt --function {dir}/cd.json --grid=-8000:-7999:1"),
+    # STEP 1 is below the float spacing (2) at 1e16, so the grid would repeat each point
+    ("check_grid_step_below_spacing", "check --model {dir}/still.txt --function {dir}/cd.json --grid=1e16:1.0000000000000004e16:1"),
     ("simulate_spec", "simulate --model {dir}/m.txt --grid 0:3:1"),
     ("simulate_fit", "simulate --model {dir}/fit.json --grid 0:24:6"),
     ("simulate_bare", "simulate --model {dir}/bare.json --grid 0:2:0.5"),
@@ -203,6 +206,7 @@ CASES = [
     # b * t overflows although t is finite
     ("simulate_rate_times_t_overflows", "simulate --model {dir}/rate5.txt --grid=0:1e308:1e303"),
     ("simulate_trajectory_underflow", "simulate --model {dir}/underflow.txt --grid=-8000:-7999:1"),
+    ("simulate_grid_step_below_spacing", "simulate --model {dir}/still.txt --grid=1e16:1.0000000000000004e16:1"),
     ("export", "export --csv {dir}/two.csv --year-col year --value-col L --value-col K"),
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
     ("export_same_column_twice", "export --csv {dir}/two.csv --year-col year --value-col L --value-col L"),

@@ -629,7 +629,9 @@ def _signed(x):
 @st.composite
 def check_sequences(draw):
     """(functions, models, grids, steps): checks that repeat, mix equal but distinct models and
-    grids that are mutated in place between them; each step names its call and its np.errstate."""
+    grids that are mutated in place between them; each step names its call and its np.errstate.
+    Under a small `_BLOCK` the 1-D grids are one block or several, so blocks, hits, misses and
+    whole-grid fallbacks interleave."""
     fields = [draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)).flatmap(_signed)) for _ in range(6)]
     m = model(*fields)
     twin = model(*fields)  # equal, not the same object
@@ -637,12 +639,14 @@ def check_sequences(draw):
     models = [m, twin, flipped, model(*(draw(_nonzero(0.05, 2.0)) for _ in range(3)), 0.0, 0.0, 0.0)]
     families = ["power-law", "cobb-douglas", "ces-like", "ces"]
     fns = [_any_function(draw, draw(st.sampled_from(families))) for _ in range(3)]
+    fns.append(_member(draw, draw(st.sampled_from(families[:3])), models[3])[0])  # rounding-level deviations
     span = draw(st.sampled_from([30.0, 400.0]))  # inside the range of exp, or often not
     grids = [
         np.linspace(-span, span, draw(st.integers(1, 40))),
         np.array(draw(st.floats(-span, span))),  # 0-d
         np.linspace(0.0, span, 2 * draw(st.integers(1, 20))).reshape(2, -1),
         np.array([0.0, -0.0, 1e308, draw(st.floats(-span, span))]),
+        np.linspace(0.0, 800.0, draw(st.integers(2, 40))),  # inside the range of exp at first, often not later
     ]
     steps = draw(
         st.lists(
@@ -678,6 +682,13 @@ def test_held_trajectories_give_what_every_check_computing_its_own_gives(case):
             assert _held_outcome(lambda: check(*args), mode) == _held_outcome(lambda: REFERENCES[check](*args), mode)
 
 
+@given(st.sampled_from([1, 4, 7]), check_sequences())
+@settings(max_examples=300)
+def test_held_trajectories_interleave_with_blocks_and_fallbacks(block, case):
+    with mock.patch.object(invariants, "_BLOCK", block):
+        test_held_trajectories_give_what_every_check_computing_its_own_gives.hypothesis.inner_test(case)
+
+
 GRID_97 = np.arange(0.0, 24.0 + 0.125, 0.25)
 
 
@@ -704,13 +715,13 @@ def test_one_trajectory_per_model_and_grid():
         assert traced.call_count == 6
 
 
-def test_held_levels_are_read_only():
+def test_deviation_returns_arrays_it_owns():
+    fn = cobb_douglas_member(CD1928, 0.5)
     with mock.patch.object(invariants, "_held", None):
-        Y = _deviation(cobb_douglas_member(CD1928, 0.5), CD1928, GRID_97)[0]
-        for levels in (invariants._held[3], (Y,)):
-            for x in levels:
-                with pytest.raises(ValueError, match="read-only"):
-                    x[0] = 1.0
+        dev = constancy_check(fn, CD1928, GRID_97)
+        for x in _deviation(fn, CD1928, GRID_97):
+            x[:] = 1.0
+        assert constancy_check(fn, CD1928, GRID_97) == dev
 
 
 # ---------------------------------------------------------------------------
