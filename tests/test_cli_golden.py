@@ -196,7 +196,7 @@ CASES = [
     ("check_bad_model_text", "check --model {dir}/bad.mdl --function {dir}/cd.json --grid 0:24:1"),
     ("check_bad_model_json", "check --model {dir}/badmodel.json --function {dir}/cd.json --grid 0:24:1"),
     ("check_trajectory_underflow", "check --model {dir}/underflow.txt --function {dir}/cd.json --grid=-8000:-7999:1"),
-    # STEP 1 is below the float spacing (2) at 1e16, so the grid would repeat each point
+    # STEP 1 is below the float spacing (2) at 1e16, so the grid would repeat points
     ("check_grid_step_below_spacing", "check --model {dir}/still.txt --function {dir}/cd.json --grid=1e16:1.0000000000000004e16:1"),
     ("simulate_spec", "simulate --model {dir}/m.txt --grid 0:3:1"),
     ("simulate_fit", "simulate --model {dir}/fit.json --grid 0:24:6"),
