@@ -200,6 +200,16 @@ def _inside_exp(model: ExponentialModel, t_arr: np.ndarray) -> bool:
     return True
 
 
+def _levels(model: ExponentialModel, t_arr: np.ndarray) -> tuple[Scalarish, Scalarish, Scalarish]:
+    """L, K and Y on t_arr, each exp(t*b + ln_X0) built in one buffer (floats for a 0-d t_arr)."""
+    levels = []
+    for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
+        x = t_arr * b
+        x += ln0
+        levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))
+    return tuple(levels)
+
+
 def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalarish, Scalarish]:
     """Closed-form trajectory (L(t), K(t), Y(t)) of the exponential system.
 
@@ -207,33 +217,23 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
     Raises DomainError when a level overflows or underflows to 0, naming the
     variable and the first offending t.
 
-    When the grid-ends rule (`_inside_exp`) holds, each level is built in one
-    buffer with no range check; otherwise the grid is walked to name the first bad t.
+    Every grid's levels come from `_levels`: with no range check when the grid-ends rule (`_inside_exp`)
+    holds, otherwise with overflow ignored, then walked to name the first bad t, L before K before Y.
     """
     t_arr = np.asarray(t, dtype=float)
     if _inside_exp(model, t_arr):
-        levels = []
-        for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
-            x = t_arr * b
-            x += ln0
-            levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))
-        return tuple(levels)
+        return _levels(model, t_arr)
     if not np.isfinite(t_arr).all():
         raise DomainError("t must be finite")
     with np.errstate(over="ignore"):
-        L = np.exp(model.ln_L0 + model.b1 * t_arr)
-        K = np.exp(model.ln_K0 + model.b2 * t_arr)
-        Y = np.exp(model.ln_Y0 + model.b3 * t_arr)
-    for name, x in (("L", L), ("K", K), ("Y", Y)):
-        ok = x > 0.0
-        ok &= x < np.inf  # x is never nan: its exponent is finite or +-inf
+        levels = _levels(model, t_arr)
+    for name, x in zip("LKY", levels):
+        ok = np.isfinite(x) & (x > 0.0)  # x is never nan: its exponent is finite or +-inf
         if not ok.all():
             i = np.flatnonzero(~ok)[0]
             what = "overflows" if np.ravel(x)[i] == np.inf else "underflows to 0"
             raise DomainError(f"{name}(t) {what} at t = {float(np.ravel(t_arr)[i])}")
-    if t_arr.ndim == 0:
-        return float(L), float(K), float(Y)
-    return L, K, Y
+    return levels
 
 
 def evaluate(fn: ProductionFunction, L: Scalarish, K: Scalarish) -> Scalarish:

@@ -250,14 +250,14 @@ def constancy_check(
 
     A nonempty 1-D grid is reduced in blocks of at most `_BLOCK` points by the
     same arithmetic, so no temporary outgrows a block and the maximum is the
-    same float.  The blocks run under a recorder of floating-point events: an
-    event in any block, even one the caller ignores, or a `DomainError` (a
-    block leaving the range of exp) drops the result, and the grid is computed
-    whole by `_deviation` under the caller's `np.errstate`, giving the
-    whole-grid values, warnings and errors.  0-d and 2-D grids are computed
-    whole.  The trajectory of a one-block grid is held when the check saw no
-    event and nothing raised; the next check of the same model object and grid
-    bytes evaluates `fn` on it under the caller's `np.errstate`.
+    same float.  The blocks run with every floating-point event raised: the
+    first event, even one the caller ignores, or a `DomainError` (a block
+    leaving the range of exp) ends the blocks, and the grid is computed whole
+    by `_deviation` under the caller's `np.errstate`, giving the whole-grid
+    values, warnings and errors.  0-d and 2-D grids are computed whole.  The
+    trajectory of a one-block grid is held when its block raised nothing; the
+    next check of the same model object and grid bytes evaluates `fn` on it
+    under the caller's `np.errstate`.
     """
     global _held
     t = np.asarray(t_grid, dtype=float)
@@ -266,17 +266,16 @@ def constancy_check(
         held = _held
         if held is not None and held[0] is model and held[1] == grid:
             return float(_relative(fn, *held[2])[1].max())
-        events = []
         try:
-            with np.errstate(all="call", call=lambda err, flag: events.append(err)):
+            with np.errstate(all="raise"):
                 worst = 0.0
                 for i in range(0, t.size, _BLOCK):
                     levels = None  # free the last block's arrays before the next block's: malloc reuses them
                     levels = trajectory(model, t[i : i + _BLOCK])
                     worst = max(worst, float(_relative(fn, *levels)[1].max()))
-        except DomainError:
-            events.append(None)
-        if not events:
+        except (DomainError, FloatingPointError):
+            pass
+        else:
             if grid is not None:
                 _held = (model, grid, levels)
             return worst

@@ -18,6 +18,7 @@ from prodfn import (
     evaluate,
     trajectory,
 )
+from prodfn.core import _inside_exp
 from conftest import CD1928
 
 finite_rates = st.floats(min_value=-0.2, max_value=0.2, allow_nan=False)
@@ -377,3 +378,102 @@ def test_a_grid_inside_the_range_of_exp_is_not_walked(cd1928, monkeypatch):
     assert trajectory(cd1928, 3.0) == want_scalar
     with pytest.raises(AssertionError, match="walk"):
         trajectory(cd1928, 1e6)
+
+
+# ---------------------------------------------------------------------------
+# the one-formula trajectory against the former two-formula one
+
+
+# The trajectory with one copy of the level formula per path (t*b + ln_X0 inside
+# the grid-ends rule, ln_X0 + b*t outside it), kept unchanged as the reference
+# for the differential test below.
+def trajectory_reference(model, t):
+    t_arr = np.asarray(t, dtype=float)
+    if _inside_exp(model, t_arr):
+        levels = []
+        for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
+            x = t_arr * b
+            x += ln0
+            levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))
+        return tuple(levels)
+    if not np.isfinite(t_arr).all():
+        raise DomainError("t must be finite")
+    with np.errstate(over="ignore"):
+        L = np.exp(model.ln_L0 + model.b1 * t_arr)
+        K = np.exp(model.ln_K0 + model.b2 * t_arr)
+        Y = np.exp(model.ln_Y0 + model.b3 * t_arr)
+    for name, x in (("L", L), ("K", K), ("Y", Y)):
+        ok = x > 0.0
+        ok &= x < np.inf  # x is never nan: its exponent is finite or +-inf
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            what = "overflows" if np.ravel(x)[i] == np.inf else "underflows to 0"
+            raise DomainError(f"{name}(t) {what} at t = {float(np.ravel(t_arr)[i])}")
+    if t_arr.ndim == 0:
+        return float(L), float(K), float(Y)
+    return L, K, Y
+
+
+def _under_errstate(path, model, t, mode):
+    """`_levels` of path(model, t) or its FloatingPointError, under np.errstate `mode` (None: the default;
+    "call": every event recorded); with every warning and every recorded event."""
+    events = []
+    state = {None: {}, "call": {"all": "call", "call": lambda err, flag: events.append(err)}}.get(mode, {"all": mode})
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**state):
+        warnings.simplefilter("always")
+        try:
+            result = _levels(path, model, t)
+        except FloatingPointError as exc:
+            result = type(exc), str(exc)
+    return result, [str(w.message) for w in caught], events
+
+
+# exponents where exp is finite and nonzero but the grid-ends rule fails, and where it is not
+MARGIN = st.one_of(st.floats(709.0, 709.78, exclude_max=True), st.floats(-745.13, -745.0, exclude_min=True))
+BEYOND = st.one_of(st.floats(709.79, 800.0), st.floats(-800.0, -745.14))
+
+
+@st.composite
+def formula_cases(draw):
+    """(model, t): grids inside the range of exp, grids with a point whose exponent lies in the margin
+    between the grid-ends rule and the float range or beyond it, grids with NaN or +-inf; 1-D, empty,
+    0-d and 2-D."""
+    rates = [draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 5.0, -5.0]), st.floats(-10.0, 10.0))) for _ in range(3)]
+    lns = [draw(st.floats(-20.0, 20.0)) for _ in range(3)]
+    points = draw(st.lists(st.floats(-30.0, 30.0), max_size=6))
+    kind = draw(st.sampled_from(["inside", "margin", "beyond", "special"]))
+    last = points[0] if points else None
+    for _ in range(draw(st.integers(1, 2))):
+        nonzero = [i for i in range(3) if rates[i] != 0.0]
+        if kind in ("margin", "beyond") and nonzero:
+            i = draw(st.sampled_from(nonzero))
+            t = (draw(MARGIN if kind == "margin" else BEYOND) - lns[i]) / rates[i]
+            for j in range(3):  # keep the other levels inside the float range at t
+                if j != i and not -745.0 < lns[j] + rates[j] * t < 709.0:
+                    rates[j] = 0.0
+        elif kind == "special":
+            t = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            continue
+        points.insert(draw(st.integers(0, len(points))), t)
+        last = t  # a 0-d grid takes the last point placed
+    m = ExponentialModel(*rates, *lns)
+    shape = draw(st.sampled_from(["1-d", "0-d", "0-d array", "2-d"]))
+    if shape == "0-d" and points:
+        return m, last
+    if shape == "0-d array" and points:
+        return m, np.array(last)
+    if shape == "2-d" and len(points) % 2 == 0:
+        return m, np.array(points, dtype=float).reshape(2, -1)
+    return m, np.array(points, dtype=float)
+
+
+@given(formula_cases(), st.sampled_from([None, "raise", "ignore", "call"]))
+@example((ExponentialModel(1.0, 0.5, 0.0, 0.0, 0.0, 0.0), np.array([0.0, 709.5, 3.0])), "raise")
+@example((ExponentialModel(-1.0, 0.0, 2.0, 0.0, 0.0, 0.0), np.array([[745.1, 1.0], [0.0, 2.0]])), "call")
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), -745.1), None)
+@example((ExponentialModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), np.array([], dtype=float)), "raise")
+@settings(max_examples=500)
+def test_one_formula_trajectory_is_the_two_formula_reference(case, mode):
+    m, t = case
+    assert _under_errstate(trajectory, m, t, mode) == _under_errstate(trajectory_reference, m, t, mode)

@@ -630,6 +630,7 @@ def _signed(x):
 def check_sequences(draw):
     """(functions, models, grids, steps): checks that repeat, mix equal but distinct models and
     grids that are mutated in place between them; each step names its call and its np.errstate.
+    About half the steps repeat their predecessor's call on the same function, model and grid.
     Under a small `_BLOCK` the 1-D grids are one block or several, so blocks, hits, misses and
     whole-grid fallbacks interleave."""
     fields = [draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)).flatmap(_signed)) for _ in range(6)]
@@ -658,12 +659,16 @@ def check_sequences(draw):
                 st.sampled_from([None, "raise", "ignore"]),
                 # a value written into the grid before the call, at an index taken modulo its size
                 st.one_of(st.none(), st.tuples(st.integers(0, 63), st.floats(-span, span))),
+                st.booleans(),  # repeat the previous step's check of its function, model and grid, with no write
             ),
             min_size=1,
             max_size=12,
         )
     )
-    return fns, models, grids, steps
+    for i in range(1, len(steps)):
+        if steps[i][-1]:
+            steps[i] = (*steps[i - 1][:4], steps[i][4], None, True)
+    return fns, models, grids, [step[:-1] for step in steps]
 
 
 REFERENCES = {constancy_check: constancy_check_reference, _deviation: _deviation_reference}
@@ -687,6 +692,17 @@ def test_held_trajectories_give_what_every_check_computing_its_own_gives(case):
 def test_held_trajectories_interleave_with_blocks_and_fallbacks(block, case):
     with mock.patch.object(invariants, "_BLOCK", block):
         test_held_trajectories_give_what_every_check_computing_its_own_gives.hypothesis.inner_test(case)
+
+
+def test_blocked_constancy_stops_at_the_first_event():
+    m = model(1.0, 0.01, 0.02, l0=-740.0)  # L is subnormal at t < 32: the first block underflows
+    fn = cobb_douglas_member(m, 0.5)
+    t = np.linspace(0.0, 100.0, 2 * invariants._BLOCK + 1)  # two full blocks and a 1-point last block
+    for mode in (None, "raise", "ignore"):
+        with mock.patch.object(invariants, "trajectory", wraps=trajectory) as traced:
+            outcome = _held_outcome(lambda: constancy_check(fn, m, t), mode)
+        assert traced.call_count == 2  # the first block, then the whole grid
+        assert outcome == _held_outcome(lambda: constancy_check_reference(fn, m, t), mode)
 
 
 GRID_97 = np.arange(0.0, 24.0 + 0.125, 0.25)
