@@ -5,7 +5,10 @@ decimal point '.', no thousands or `_` digit separators.  Years must be
 consecutive integers and all values strictly positive; nothing is
 interpolated, deflated or smoothed.  That digit rule is the program's one
 number rule: `_read_number` applies it to every number read from outside,
-CSV cells, JSON fields and command-line options alike.
+CSV cells, JSON fields and command-line options alike.  A well-formed file
+named by its path is read by numpy's C text reader instead, which takes no
+`_` and no digit outside ASCII either; every other input, and every error,
+is left to the `csv` reader.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from operator import eq
 from pathlib import Path
 from typing import IO, Iterator, Sequence
+
+import numpy as np
 
 from .core import ProdfnError
 
@@ -82,27 +88,34 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
     """Read one TimeSeries per value column from a CSV with a header row; each starts at the first year read.
 
     `source` may be a path, an open text stream, or an open byte stream; a stream is
-    left open.  One pass per needed column accepts 1,024 records at a time, each cell
-    stripped of surrounding whitespace and blank records skipped.  A chunk it rejects is
-    walked only to name its first faulty record (short record, non-numeric cell, non-positive
-    value, duplicate or non-consecutive year); that error and a missing column carry the record
-    number: the header is row 1, and a quoted cell spanning lines is one record.  Input the
-    csv module cannot split into records (a cell over its field size limit, a bare carriage
-    return in an unquoted cell) is reported with the line where reading stopped.  Column
-    names are matched stripped; each series keeps the name it was asked for.
+    left open.  A path is read into memory once, and a well-formed file is read by one
+    `np.loadtxt` pass (see `_loadtxt`).  Any other input goes to the csv reader, which
+    accepts 1,024 records at a time with one pass per needed column, each cell stripped
+    of surrounding whitespace and blank records skipped, and which reports every error.  A
+    chunk it rejects is walked only to name its first faulty record (short record,
+    non-numeric cell, non-positive value, duplicate or non-consecutive year); that error and
+    a missing column carry the record number: the header is row 1, and a quoted cell
+    spanning lines is one record.  Input the csv module cannot split into records (a cell
+    over its field size limit, a bare carriage return in an unquoted cell) is reported with
+    the line where reading stopped.  Column names are matched stripped; each series keeps
+    the name it was asked for.
     """
     if not value_cols:
         raise CsvFormatError("at least one value column is required")
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:  # opened once, so a path such as /dev/stdin works
+            data = stream.read()
+        if (table := _loadtxt(data, year_col, value_cols)) is not None:
+            del data  # free the text before the values become Python floats
+            base_year = int(table[0][0])
+            return [TimeSeries(col, base_year, tuple(values.tolist())) for col, values in zip(value_cols, table[1:])]
+        source = io.BytesIO(data)  # the csv reader decodes it as it would the file
     with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
             if (header := next(reader, None)) is None:
                 raise CsvFormatError("empty input: missing header row", row=1)
-            header = [h.strip() for h in header]
-            for col in [year_col, *value_cols]:
-                if col.strip() not in header:
-                    raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
-            where = [header.index(col.strip()) for col in [year_col, *value_cols]]
+            header, where = _header(header, year_col, value_cols)
             last = None  # the year of the last accepted record
             columns: list[list[float]] = [[] for _ in value_cols]  # indexed like value_cols
             row_no = 2
@@ -133,6 +146,50 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
         raise CsvFormatError("no data rows")
     base_year = last + 1 - len(columns[0])  # the accepted years are consecutive
     return [TimeSeries(col, base_year, tuple(values)) for col, values in zip(value_cols, columns)]
+
+
+def _header(row, year_col, value_cols) -> tuple[list[str], list[int]]:
+    """The stripped header `row`, and the cell index of the year, then of each value column."""
+    header = [h.strip() for h in row]
+    for col in [year_col, *value_cols]:
+        if col.strip() not in header:
+            raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
+    return header, [header.index(col.strip()) for col in [year_col, *value_cols]]
+
+
+def _loadtxt(data: bytes, year_col, value_cols) -> list[np.ndarray] | None:
+    r"""The year column as int64, then each value column as float64, of a well-formed file, read
+    by one pass of numpy's C text reader; None for any other input, so that the csv reader
+    alone decides it and reports every error.
+
+    Only UTF-8 text holding no `"` and no NUL, with no line longer than the csv field size
+    limit and a data line after the header, is tried: numpy would split a quoted cell at its
+    commas and take a cell over the limit, and Python 3.10's csv rejects a NUL.  The lines are
+    split at "\n", "\r\n" and "\r", as a file opened with newline="" splits them.
+    """
+    try:  # a UnicodeDecodeError is a ValueError
+        if '"' in (text := data.decode("utf-8")) or "\0" in text:
+            return None
+        lines = io.StringIO(text, newline="").readlines()
+        del text
+        if max(map(len, lines), default=0) > csv.field_size_limit():
+            return None
+        if not any(map(str.strip, islice(lines, 1, None))):  # numpy would warn that it read no row
+            return None
+        _, where = _header(next(csv.reader(lines[:1])), year_col, value_cols)
+        dtype = np.dtype(",".join(["i8", *["f8"] * len(value_cols)]))
+        with warnings.catch_warnings():  # older numpy reads a year "1899.0" through float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                lines, dtype, delimiter=",", comments=None, skiprows=1, usecols=where, unpack=True, ndmin=1
+            )
+    except (CsvFormatError, ValueError, DeprecationWarning):
+        return None
+    years, *columns = table
+    consecutive = (np.diff(years) == 1).all() and years[0] <= years[-1]  # int64 differences wrap around
+    if not (consecutive and all(v.min() > 0.0 and v.max() < math.inf for v in columns)):  # a NaN fails both
+        return None
+    return table
 
 
 def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatError:
@@ -194,10 +251,10 @@ def normalize_base100(series: TimeSeries) -> TimeSeries:
 def write_series(series_list: Sequence[TimeSeries], dest) -> None:
     """Serialize series sharing one year range back to CSV.
 
-    The counterpart of `load_series`: values are printed with 17 significant
-    digits, which re-reads to the identical float, and the header is quoted
-    where a name needs it.  `dest` is a path, a writable text stream or a writable
-    byte stream, which is written as UTF-8 and left open.
+    The counterpart of `load_series`: years are printed as integers and values
+    with 17 significant digits, which re-reads to the identical float, and the
+    header is quoted where a name needs it.  `dest` is a path, a writable text
+    stream or a writable byte stream, which is written as UTF-8 and left open.
     """
     if not series_list:
         raise CsvFormatError("nothing to write")
@@ -209,7 +266,7 @@ def write_series(series_list: Sequence[TimeSeries], dest) -> None:
                 f"expected {years[0]}..{years[-1]}"
             )
     header = ["year", *(s.name for s in series_list)]
-    _write_csv(dest, header, (years, *(s.values for s in series_list)))
+    _write_csv(dest, header, (years, *(s.values for s in series_list)), first="%d")
 
 
 _FLOAT_FORMAT = "%.17g"  # every float written out; no finite number prints an "n", "inf" and "nan" do
@@ -221,8 +278,9 @@ def _fmt_float(x: float) -> str:
     return _FLOAT_FORMAT % x
 
 
-def _write_csv(dest, header: Sequence[str], columns) -> None:
-    """Write a header row, then one row of 17-digit numbers per index of `columns`.
+def _write_csv(dest, header: Sequence[str], columns, first: str = _FLOAT_FORMAT) -> None:
+    """Write a header row, then one row of numbers per index of `columns`: the first column's
+    printed with the `first` template, every other one with 17 significant digits.
 
     `dest` is as in `write_series`.  The header is quoted as `csv` quotes it, so
     `load_series` reads every name back; numbers never need quoting.
@@ -231,7 +289,7 @@ def _write_csv(dest, header: Sequence[str], columns) -> None:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
-        fmt = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
+        fmt = ",".join([first, *[_FLOAT_FORMAT] * (len(columns) - 1)]) + "\n"
         for row in zip(*columns):
             if "n" in (text := fmt % row):
                 list(map(_fmt_float, map(float, row)))  # raises at the first of them

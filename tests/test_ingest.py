@@ -3,6 +3,8 @@ import dataclasses
 import gc
 import io
 import math
+import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -263,14 +265,14 @@ row_kinds = st.sampled_from(["good"] * 5 + ["odd"] * 3 + ["blank", "spaces", "sh
 
 
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, kinds=row_kinds, first_years=st.integers(1, 3000)):
     """A "year,L,K" file: mostly good records, mixed with blank, padded, short and faulty ones."""
-    year = draw(st.integers(1, 3000))  # the next consecutive year
+    year = draw(first_years)  # the next consecutive year
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(["year", "L", "K"])
     for _ in range(draw(st.integers(0, 14))):
-        kind = draw(row_kinds)
+        kind = draw(kinds)
         if kind == "blank":
             out.writerow([])
             continue
@@ -326,6 +328,122 @@ def test_every_series_spans_the_accepted_years_across_chunks():
     for s in out:
         assert s.years == range(1000, 1000 + n) and len(s) == n
     assert [s.values for s in out] == [tuple(1.5 + i for i in range(n)), tuple(2.5 + i for i in range(n))]
+
+
+# ---------------------------------------------------------------------------
+# a path read by numpy's text reader against the csv reader over the same bytes
+
+LIMIT = csv.field_size_limit()
+well_formed = st.sampled_from(["good"] * 6 + ["blank"])
+huge_years = st.sampled_from([2**63 - 3, 2**63 - 1, -(2**63) - 1, -(2**63), 10**25, -(10**25)])
+edits = st.sampled_from(
+    ["quote", "nul", "long-extra-cell", "long-used-cell", "blank-record", "header-only", "blank-only"]
+    + ["crlf", "cr", "bom", "not-utf8"]
+)
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a `csv_texts` file, often a well-formed one, after up to two edits that the
+    numpy path must leave to the csv reader or read as it does."""
+    kinds = draw(st.sampled_from([well_formed, well_formed, row_kinds]))
+    text = draw(csv_texts(kinds, draw(st.sampled_from([st.integers(1, 3000)] * 3 + [huge_years]))))
+    not_utf8 = False
+    for edit in draw(st.one_of(st.just([]), st.lists(edits, min_size=1, max_size=2))):
+        lines = text.split("\n")
+        at = draw(st.integers(0, len(text)))
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit in ("quote", "nul"):
+            text = text[:at] + {"quote": '"', "nul": "\0"}[edit] + text[at:]
+        elif edit == "long-extra-cell":  # a cell past the header's columns, which no one asks for
+            lines[i] += "," + "x" * (LIMIT + 1)
+        elif edit == "long-used-cell":  # zeros that keep the value of the cell after the year
+            year, comma, rest = lines[i].partition(",")
+            lines[i] = year + comma + "0" * LIMIT + rest
+        elif edit == "blank-record":
+            lines.insert(i, draw(st.sampled_from([" ", "\t", ",,", " , ", "\xa0", ",", "\x1c"])))
+        elif edit == "header-only":
+            lines = lines[:1] + [""]
+        elif edit == "blank-only":
+            lines = lines[:1] + [""] * draw(st.integers(1, 3))
+        elif edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "cr":
+            text = text.replace("\n", "\r")
+        elif edit == "bom":
+            text = "\ufeff" + text
+        else:
+            not_utf8 = True
+        if edit.startswith(("long", "blank", "header")):
+            text = "\n".join(lines)
+    data = text.encode("utf-8")
+    if not_utf8:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x80"])) + data[at:]
+    return data
+
+
+def _bits(source, cols):
+    """load_series(source) as the name, base year and value bits of each series, or as its
+    exception's type, message and row."""
+    try:
+        out = load_series(source, "year", cols)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return [
+        (s.name, type(s.base_year), s.base_year, {type(v) for v in s.values}, struct.pack(f"{len(s)}d", *s.values))
+        for s in out
+    ]
+
+
+@given(data=csv_files(), cols=st.sampled_from([["L", "K"], ["K"], ["K", "L", "K"]]))
+@example(data=b'year,name,junk,L,K\n1899,"a,b",9,1,2\n', cols=["L", "K"])  # numpy would read L=9, K=1
+@example(data=b"year,L,K\n1899,1,2" + b"0" * LIMIT + b"\n", cols=["L"])  # over the limit, in a column not asked for
+@example(data=b"year,L,K\n1899,1,2\n1901,1,2\n", cols=["L"])
+@example(data=b"year,L\n9223372036854775807,1\n-9223372036854775808,2\n", cols=["L"])  # int64 differences wrap
+@example(data=b"year,L,K\n1899,1,2\n1900,1,0\n", cols=["K"])
+@example(data=b"year,L,K\n1899,1,2\n1900,1,nan\n", cols=["L", "K"])
+@example(data=b"year,L,K\n1899,1,2\n1900,1,inf\n", cols=["L", "K"])
+@example(data=b"year,L,K\n1899.0,1,2\n", cols=["L", "K"])  # older numpy reads this year through float
+@example(data=b"year,L,K\n1899,1,2\n1900,1,2\xe9\n", cols=["L", "K"])
+@example(data=b"year,L,K\n1899,1,2\n", cols=["L", "M"])
+@settings(max_examples=300, deadline=None)
+def test_a_path_reads_as_the_csv_reader_reads_its_bytes(data, cols, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(path, cols) == _bits(io.BytesIO(data), cols)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "year,L,K\n1899,1.5,2\n1900,3,4\n",
+        "year,L,K\r\n1899,1.5,2\r\n1900,3,4\r\n",
+        "year,L,K\r1899,1.5,2\r1900,3,4",
+        "year, L ,K,extra\n\n\x1c1899\xa0,\u20031.5 ,2,x\n\n1900,3,4\n",
+        "K,year,L\n2,9223372036854775806,1e-300\n4,9223372036854775807,1e300\n",
+    ],
+    ids=["lf", "crlf", "cr", "padding-and-blank-lines", "int64-max"],
+)
+def test_a_well_formed_file_never_reaches_the_chunk_pass(text, tmp_path):
+    path = tmp_path / "well_formed.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(ingest, "_text_stream", side_effect=AssertionError("the chunk pass ran")):
+        got = load_series(path, "year", ["L", "K", "L"])
+    assert got == load_series(io.BytesIO(text.encode("utf-8")), "year", ["L", "K", "L"])
+
+
+def test_the_field_limit_is_read_when_the_file_is(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("year,L,K\n1899,1,123456789\n")
+    old = csv.field_size_limit(8)
+    try:
+        with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit \(8\)$"):
+            load_series(path, "year", ["L"])
+    finally:
+        csv.field_size_limit(old)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +560,14 @@ def test_written_series_read_back_equal(base_year, rows):
     buf = io.StringIO()
     write_series(series, buf)
     assert load_series(io.StringIO(buf.getvalue()), "year", ["L", "K"]) == series
+
+
+@pytest.mark.parametrize("base_year", [2**53 + 1, 10**17, 2**63 - 1, 2**70, -(2**70)])
+def test_a_year_is_written_as_an_integer_and_read_back(base_year, tmp_path):
+    series = [make_series([1.5, 2.5], name="L", base_year=base_year)]
+    write_series(series, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == f"year,L\n{base_year},1.5\n{base_year + 1},2.5\n"
+    assert load_series(tmp_path / "out.csv", "year", ["L"]) == series
 
 
 def test_write_to_a_byte_stream_leaves_it_open():
