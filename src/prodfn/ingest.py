@@ -8,7 +8,7 @@ number rule: `_read_number` applies it to every number read from outside,
 CSV cells, JSON fields and command-line options alike.  A well-formed file
 named by its path is read by numpy's C text reader instead, which takes no
 `_` and no digit outside ASCII either; every other input, and every error,
-is left to the `csv` reader.
+is left to one loop over the records of the `csv` reader.
 """
 
 from __future__ import annotations
@@ -20,16 +20,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
-from operator import eq
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .core import ProdfnError
-
-_CHUNK_ROWS = 1024  # records converted and checked at once; larger chunks raise peak RSS
-
 
 class CsvFormatError(ProdfnError):
     """Malformed CSV input.  `row` is the 1-based CSV record number: the header is row 1,
@@ -89,16 +85,15 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
 
     `source` may be a path, an open text stream, or an open byte stream; a stream is
     left open.  A path is read into memory once, and a well-formed file is read by one
-    `np.loadtxt` pass (see `_loadtxt`).  Any other input goes to the csv reader, which
-    accepts 1,024 records at a time with one pass per needed column, each cell stripped
-    of surrounding whitespace and blank records skipped, and which reports every error.  A
-    chunk it rejects is walked only to name its first faulty record (short record,
-    non-numeric cell, non-positive value, duplicate or non-consecutive year); that error and
-    a missing column carry the record number: the header is row 1, and a quoted cell
-    spanning lines is one record.  Input the csv module cannot split into records (a cell
-    over its field size limit, a bare carriage return in an unquoted cell) is reported with
-    the line where reading stopped.  Column names are matched stripped; each series keeps
-    the name it was asked for.
+    `np.loadtxt` pass (see `_loadtxt`).  Any other input goes to one loop over the records
+    of the csv reader, which holds one record at a time, strips each cell of surrounding
+    whitespace, skips blank records and reports the first fault in record order: a short
+    record, a non-integer year, a duplicate or non-consecutive year, a non-numeric or
+    non-positive value.  That error and a missing column carry the record number: the
+    header is row 1, and a quoted cell spanning lines is one record.  Input the csv module
+    cannot split into records (a cell over its field size limit, a bare carriage return in
+    an unquoted cell) is reported with the line where reading stopped.  Column names are
+    matched stripped; each series keeps the name it was asked for.
     """
     if not value_cols:
         raise CsvFormatError("at least one value column is required")
@@ -116,35 +111,36 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
             if (header := next(reader, None)) is None:
                 raise CsvFormatError("empty input: missing header row", row=1)
             header, where = _header(header, year_col, value_cols)
-            last = None  # the year of the last accepted record
+            year = None  # the year of the last accepted record
             columns: list[list[float]] = [[] for _ in value_cols]  # indexed like value_cols
-            row_no = 2
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                if rows := [row for row in chunk if "".join(row).strip()]:
-                    try:  # a short row or a cell that int() or float() rejects
-                        cells = list(zip(*rows))
-                        needed = [list(map(str.strip, cells[i])) for i in where]
-                        new_years = list(map(int, needed[0]))
-                        new_values = [list(map(float, column)) for column in needed[1:]]
-                        first = new_years[0] if last is None else last + 1
-                        valid = (
-                            _ascii_digits("".join(map("".join, needed)))
-                            and all(map(eq, new_years, range(first, first + len(new_years))))
-                            and all(all(map(math.isfinite, v)) and min(v) > 0.0 for v in new_values)
-                        )
-                    except (IndexError, ValueError):
-                        valid = False
-                    if not valid:
-                        raise _first_fault(chunk, row_no, header, where, value_cols, last)
-                    last = new_years[-1]
-                    for column, values in zip(columns, new_values):
-                        column += values
-                row_no += len(chunk)
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue  # ignore blank lines
+                if len(row) <= max(where):
+                    raise CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+                raw = row[where[0]].strip()
+                try:
+                    cur = _read_number(raw, int)
+                except ValueError:
+                    raise CsvFormatError(f"non-integer year {raw!r}", row=row_no) from None
+                if year is not None and cur != year + 1:
+                    message = f"duplicate year {cur}" if cur == year else f"non-consecutive year {cur} after {year}"
+                    raise CsvFormatError(message, row=row_no)
+                year = cur
+                for column, col, i in zip(columns, value_cols, where[1:]):
+                    raw = row[i].strip()
+                    try:
+                        v = _read_number(raw)
+                    except ValueError:
+                        raise CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no) from None
+                    if not (math.isfinite(v) and v > 0.0):
+                        raise CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
+                    column.append(v)
         except csv.Error as exc:  # drop the " - " remedy: paths are already opened with newline=""
             raise CsvFormatError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
-    if last is None:
+    if year is None:
         raise CsvFormatError("no data rows")
-    base_year = last + 1 - len(columns[0])  # the accepted years are consecutive
+    base_year = year + 1 - len(columns[0])  # the accepted years are consecutive
     return [TimeSeries(col, base_year, tuple(values)) for col, values in zip(value_cols, columns)]
 
 
@@ -159,8 +155,8 @@ def _header(row, year_col, value_cols) -> tuple[list[str], list[int]]:
 
 def _loadtxt(data: bytes, year_col, value_cols) -> list[np.ndarray] | None:
     r"""The year column as int64, then each value column as float64, of a well-formed file, read
-    by one pass of numpy's C text reader; None for any other input, so that the csv reader
-    alone decides it and reports every error.
+    by one pass of numpy's C text reader; None for any other input, so that `load_series`'
+    record loop alone decides it and reports every error.
 
     Only UTF-8 text holding no `"` and no NUL, with no line longer than the csv field size
     limit and a data line after the header, is tried: numpy would split a quoted cell at its
@@ -192,43 +188,11 @@ def _loadtxt(data: bytes, year_col, value_cols) -> list[np.ndarray] | None:
     return table
 
 
-def _first_fault(rows, row_no, header, where, value_cols, year) -> CsvFormatError:
-    """The error of the first faulty record of `rows`, numbered from `row_no`.  `where` holds the
-    cell index of the year, then of each value column; `year` is that of the record before, or None."""
-    for row_no, row in enumerate(rows, start=row_no):
-        if not "".join(row).strip():
-            continue  # ignore blank lines
-        if len(row) <= max(where):
-            return CsvFormatError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-        raw_year = row[where[0]].strip()
-        try:
-            cur = _read_number(raw_year, int)
-        except ValueError:
-            return CsvFormatError(f"non-integer year {raw_year!r}", row=row_no)
-        if year is not None and cur != year + 1:
-            message = f"duplicate year {cur}" if cur == year else f"non-consecutive year {cur} after {year}"
-            return CsvFormatError(message, row=row_no)
-        year = cur
-        for col, i in zip(value_cols, where[1:]):
-            raw = row[i].strip()
-            try:
-                v = _read_number(raw)
-            except ValueError:
-                return CsvFormatError(f"non-numeric value {raw!r} in column {col!r}", row=row_no)
-            if not (math.isfinite(v) and v > 0.0):
-                return CsvFormatError(f"non-positive value {raw!r} in column {col!r}", row=row_no)
-    raise AssertionError("the column pass rejected records that hold no fault")
-
-
-def _ascii_digits(text: str) -> bool:
-    """The dialect's digit rule: int() and float() also read "1_000" and non-ASCII digits; it does not."""
-    return text.isascii() and "_" not in text
-
-
 def _read_number(x, parse=float):
     """parse(x) for a number read from outside the program: a CSV cell, a JSON field or an option.
-    A boolean, or a string whose stripped text breaks `_ascii_digits`, raises ValueError."""
-    if isinstance(x, bool) or (isinstance(x, str) and not _ascii_digits(x.strip())):
+    A boolean, or a string whose stripped text breaks the dialect's digit rule, raises ValueError:
+    int() and float() also read "1_000" and non-ASCII digits; the rule takes neither."""
+    if isinstance(x, bool) or (isinstance(x, str) and not (x.strip().isascii() and "_" not in x)):
         raise ValueError(f"not a number: {x!r}")
     return parse(x)
 

@@ -63,11 +63,15 @@ def _require_tol(tol: float) -> None:
 
 
 def _anchor(ln_coeff: float, where: str) -> float:
-    """exp(ln_coeff), the constant that anchors an invariant at t = 0, or a DomainError naming `where`."""
+    """exp(ln_coeff), the constant that anchors an invariant at t = 0, or a DomainError naming `where`
+    when it overflows or underflows to 0."""
     try:
-        return math.exp(ln_coeff)
+        coeff = math.exp(ln_coeff)
     except OverflowError:
         raise DomainError(f"{where}: the anchoring constant exp({ln_coeff!r}) overflows") from None
+    if coeff == 0.0:
+        raise DomainError(f"{where}: the anchoring constant exp({ln_coeff!r}) underflows to 0")
+    return coeff
 
 
 def _require_nonzero(model: ExponentialModel, names, why: str) -> None:

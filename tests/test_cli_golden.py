@@ -13,6 +13,7 @@ and review the diff.
 
 from __future__ import annotations
 
+import csv
 import io
 import sys
 import tempfile
@@ -122,6 +123,13 @@ INPUTS = {
         "1902,110,122,115\n1903,107,131,121\n1904,113,138,122\n"
     ),
     "zero.csv": "year,L,K,Y\n1899,100,0,100\n1900,1,1,1\n",
+    # numpy's reader refuses a quote, so load_series' record loop reads these two
+    "quoted_header_fit.csv": (
+        'year,"L",K,"Y"\n1899,100,100,100\n1900,101,107,105\n1901,105,114,110\n'
+        "1902,110,122,115\n1903,107,131,121\n1904,113,138,122\n"
+    ),
+    # a non-numeric cell in row 2, then a cell over the csv field size limit in row 3
+    "two_faults.csv": 'year,L,K,Y\n1899,"1\n00",100,100\n1900,1' + "0" * csv.field_size_limit() + ",1,1\n",
     "two.csv": "year,L,K\n1899,106.65,100.7\n1900,109.1,107.43\n1901,111.9,114.62\n",
     "quoted.csv": 'year,"L,1",K\n1899,106.65,100.7\n1900,109.1,107.43\n',
 }
@@ -134,6 +142,8 @@ CASES = [
     ("fit_normalize", FIT + "data.csv --normalize"),
     ("fit_zero_value", FIT + "zero.csv"),
     ("fit_missing_file", FIT + "nope.csv"),
+    ("fit_quoted_header", FIT + "quoted_header_fit.csv"),
+    ("fit_first_of_two_faults", FIT + "two_faults.csv"),
     ("derive_spec_fundamental", "derive --from-spec {dir}/m.txt --family fundamental"),
     ("derive_spec_cobb_douglas", "derive --from-spec {dir}/m.txt --family cobb-douglas"),
     ("derive_spec_ces_like", "derive --from-spec {dir}/m.txt --family ces-like"),

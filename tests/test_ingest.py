@@ -189,7 +189,7 @@ FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
     "text, message",
     [
         ("year,L\n1899,100\n1900,1" + "0" * csv.field_size_limit() + "\n", f"line 3: {FIELD_LIMIT}"),
-        ('year,L\n1899,"1\n00"\n1900,1' + "0" * csv.field_size_limit() + "\n", f"line 4: {FIELD_LIMIT}"),
+        ('year,L,note\n1899,100,"a\nb"\n1900,1' + "0" * csv.field_size_limit() + ",x\n", f"line 4: {FIELD_LIMIT}"),
         ("year," + "L" * (csv.field_size_limit() + 1) + "\n1899,100\n", f"line 1: {FIELD_LIMIT}"),
         ("year,L\n1899,100\n1900,1\r05\n", "line 3: new-line character seen in unquoted field"),
     ],
@@ -202,11 +202,28 @@ def test_input_the_csv_module_cannot_split_names_its_line(text, message):
     assert ei.value.row is None
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            'year,L\n1899,"1\n00"\n1900,1' + "0" * csv.field_size_limit() + "\n",
+            "non-numeric value '1\\n00' in column 'L'",
+        ),
+        ("year,L\n1899,0\n1900,1\r05\n", "non-positive value '0' in column 'L'"),
+    ],
+    ids=["data-fault-before-a-long-cell", "data-fault-before-a-bare-carriage-return"],
+)
+def test_the_first_fault_in_record_order_is_reported(text, message):
+    with pytest.raises(CsvFormatError) as ei:
+        load_series(io.StringIO(text), "year", ["L"])
+    assert str(ei.value) == f"row 2: {message}" and ei.value.row == 2
+
+
 # ---------------------------------------------------------------------------
-# the column-at-a-time reader against the former row walk
+# the record loop against the row walk reference
 
 
-# The row walk that accepted records before the column pass did, kept as the reference.
+# An independent row walk, kept as the reference for load_series' record loop.
 def _walk_rows(rows, row_no, header, col_index, year_col, value_cols, years, columns) -> None:
     """Check `rows` one by one from record `row_no`: raise at the first fault, or append them."""
     for row_no, row in enumerate(rows, start=row_no):
@@ -292,15 +309,13 @@ def csv_texts(draw, kinds=row_kinds, first_years=st.integers(1, 3000)):
     return buf.getvalue()
 
 
-@given(text=csv_texts(), chunk_rows=st.sampled_from([1, 2, 3, 5, 4096]), cols=st.sampled_from([["L", "K"], ["K"]]))
-@example(text="year,L,K\n1899,\x1c1.5,2\n1900,3,4\x1f\n", chunk_rows=4096, cols=["L", "K"])
-@example(text="year,L,K\n1899,1,1\n1900,2,nan\n1901,inf,1\n", chunk_rows=4096, cols=["L", "K"])
-@example(text="year,L,K\n1899,1,1\n\n1900,2,2\n1900,0,2\n", chunk_rows=2, cols=["L", "K"])
+@given(text=csv_texts(), cols=st.sampled_from([["L", "K"], ["K"]]))
+@example(text="year,L,K\n1899,\x1c1.5,2\n1900,3,4\x1f\n", cols=["L", "K"])
+@example(text="year,L,K\n1899,1,1\n1900,2,nan\n1901,inf,1\n", cols=["L", "K"])
+@example(text="year,L,K\n1899,1,1\n\n1900,2,2\n1900,0,2\n", cols=["L", "K"])
 @settings(max_examples=400)
-def test_chunked_load_agrees_with_the_row_walk(text, chunk_rows, cols):
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-        got = _outcome(load_series, io.StringIO(text), "year", cols)
-    assert got == _outcome(_row_walk, text, cols)
+def test_chunked_load_agrees_with_the_row_walk(text, cols):
+    assert _outcome(load_series, io.StringIO(text), "year", cols) == _outcome(_row_walk, text, cols)
 
 
 def test_padding_that_float_rejects_is_stripped_before_conversion():
@@ -310,8 +325,8 @@ def test_padding_that_float_rejects_is_stripped_before_conversion():
 
 @pytest.mark.parametrize("cell, fault", [("0", "non-positive value '0'"), ("x", "non-numeric value 'x'")])
 def test_a_fault_in_the_second_chunk_names_its_row(cell, fault):
-    bad = ingest._CHUNK_ROWS + 7  # a record of the second chunk; the header is row 1
-    rows = [f"{1000 + i},{cell if i == bad else 1.5}\n" for i in range(2 * ingest._CHUNK_ROWS)]
+    bad = 1024 + 7  # a record past the first 1,024; the header is row 1
+    rows = [f"{1000 + i},{cell if i == bad else 1.5}\n" for i in range(2 * 1024)]
     text = "year,L\n" + "".join(rows)
     message = f"row {bad + 2}: {fault} in column 'L'"
     with pytest.raises(CsvFormatError) as ei:
@@ -321,9 +336,9 @@ def test_a_fault_in_the_second_chunk_names_its_row(cell, fault):
 
 
 def test_every_series_spans_the_accepted_years_across_chunks():
-    n = 2 * ingest._CHUNK_ROWS + 5
+    n = 2 * 1024 + 5
     records = [f"{1000 + i},{1.5 + i},{2.5 + i}\n" for i in range(n)]
-    records[ingest._CHUNK_ROWS - 1 : ingest._CHUNK_ROWS - 1] = ["\n", " , ,\n"]  # end one chunk, start the next
+    records[1024 - 1 : 1024 - 1] = ["\n", " , ,\n"]  # blank records 1,024 and 1,025 lie between two years
     out = load_series(io.StringIO("year,L,K\n" + "".join(records)), "year", ["L", "K"])
     for s in out:
         assert s.years == range(1000, 1000 + n) and len(s) == n
@@ -430,7 +445,7 @@ def test_a_path_reads_as_the_csv_reader_reads_its_bytes(data, cols, tmp_path_fac
 def test_a_well_formed_file_never_reaches_the_chunk_pass(text, tmp_path):
     path = tmp_path / "well_formed.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(ingest, "_text_stream", side_effect=AssertionError("the chunk pass ran")):
+    with mock.patch.object(ingest, "_text_stream", side_effect=AssertionError("the record loop ran")):
         got = load_series(path, "year", ["L", "K", "L"])
     assert got == load_series(io.BytesIO(text.encode("utf-8")), "year", ["L", "K", "L"])
 

@@ -802,6 +802,23 @@ def test_an_anchoring_constant_that_overflows_is_a_domain_error(derive, args):
         derive(*args)
 
 
+# each model puts the anchoring constant below the smallest subnormal, so exp() rounds it to 0
+LOW = model(0.001, 0.002, 1.0, l0=1.0, k0=1.0)
+ANCHOR_UNDERFLOWS = [
+    (fundamental_invariant_L, (LOW,)),
+    (fundamental_invariant_K, (model(0.01, 0.001, 0.05, k0=20.0, y0=200.0),)),  # exp(200 - 50 * 20)
+    (cobb_douglas_member, (model(0.001, 0.0001, 1.0, l0=1.0, k0=1.0), 0.5)),
+    (ces_reduction, (model(0.001, 0.001, 1.0, l0=1.0, k0=1.0, y0=1.0), 0.5)),
+    (identity_chain_check, (LOW, 0.5, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("derive, args", ANCHOR_UNDERFLOWS, ids=[f.__name__ for f, _ in ANCHOR_UNDERFLOWS])
+def test_an_anchoring_constant_that_underflows_is_a_domain_error(derive, args):
+    with pytest.raises(DomainError, match=rf"^{derive.__name__}: the anchoring constant exp\(.*\) underflows to 0$"):
+        derive(*args)
+
+
 # ---------------------------------------------------------------------------
 # cross-operation consistency
 
