@@ -64,11 +64,12 @@ class TimeSeries:
 
 
 @contextmanager
-def _text_stream(source, mode: str) -> Iterator[IO[str]]:
-    """Yield `source` as text: a path is opened and closed here, a byte stream wrapped and
-    detached afterwards, so it stays open, and anything else is taken as a text stream."""
+def _text_stream(source) -> Iterator[IO[str]]:
+    """Yield `source` as text: a path is opened for writing and closed here, a byte stream
+    wrapped and detached afterwards, so it stays open, and anything else is taken as a text
+    stream.  `load_series` reads a path itself, so only `_write_csv` passes one."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8", newline="") as stream:
+        with open(source, "w", encoding="utf-8", newline="") as stream:
             yield stream
     elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
@@ -105,7 +106,7 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
             base_year = int(table[0][0])
             return [TimeSeries(col, base_year, tuple(values.tolist())) for col, values in zip(value_cols, table[1:])]
         source = io.BytesIO(data)  # the csv reader decodes it as it would the file
-    with _text_stream(source, "r") as stream:
+    with _text_stream(source) as stream:
         reader = csv.reader(stream)
         try:
             if (header := next(reader, None)) is None:
@@ -249,7 +250,7 @@ def _write_csv(dest, header: Sequence[str], columns, first: str = _FLOAT_FORMAT)
     `dest` is as in `write_series`.  The header is quoted as `csv` quotes it, so
     `load_series` reads every name back; numbers never need quoting.
     """
-    with _text_stream(dest, "w") as stream:
+    with _text_stream(dest) as stream:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")

@@ -4,6 +4,7 @@ Each case writes the input files below into a fresh directory, runs the CLI
 in process and compares exit code, stdout, stderr and the `out.csv` file
 (`check --table`, `export --out`) with `tests/data/cli_golden/<case>.txt`,
 byte for byte.  The directory path is written as `{dir}` in the golden text.
+Each case is also replayed with `python -m prodfn` in a fresh interpreter.
 After a deliberate change of output, rewrite the golden files with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import prodfn
 from prodfn.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -224,24 +227,22 @@ CASES = [
 ]
 
 
-def outcome(workdir: Path, argv: str) -> str:
-    """Run one case in `workdir` and render everything it produced as text."""
+def write_inputs(workdir: Path) -> None:
+    """Write every file of INPUTS into `workdir`."""
     workdir.mkdir(parents=True, exist_ok=True)
     for name, text in INPUTS.items():
         (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    out, err = io.StringIO(), io.StringIO()
-    # warnings outside the CLI's own recording would reach stderr only
-    # when pytest does not capture them; keep the rendering independent of that
-    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-        warnings.simplefilter("ignore")
-        code = main([arg.format(dir=workdir) for arg in argv.split()])
+
+
+def render(workdir: Path, argv: str, code: int, stdout: str, stderr: str) -> str:
+    """Render everything one case produced in `workdir` as text."""
     parts = [
         f"$ prodfn {argv}",
         f"exit {code}",
         "--- stdout",
-        out.getvalue(),
+        stdout,
         "--- stderr",
-        err.getvalue().replace(str(workdir), "{dir}"),
+        stderr.replace(str(workdir), "{dir}"),
     ]
     table = workdir / "out.csv"
     if table.exists():
@@ -249,10 +250,34 @@ def outcome(workdir: Path, argv: str) -> str:
     return "\n".join(parts)
 
 
+def outcome(workdir: Path, argv: str) -> str:
+    """Run one case in process in `workdir` and render it."""
+    write_inputs(workdir)
+    out, err = io.StringIO(), io.StringIO()
+    # warnings outside the CLI's own recording would reach stderr only
+    # when pytest does not capture them; keep the rendering independent of that
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([arg.format(dir=workdir) for arg in argv.split()])
+    return render(workdir, argv, code, out.getvalue(), err.getvalue())
+
+
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_golden(name, argv, tmp_path):
     want = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert outcome(tmp_path, argv) == want
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_golden_in_a_fresh_interpreter(name, argv, tmp_path):
+    # the in-process replay ignores warnings; a fresh interpreter prints any that escape to stderr.
+    # The child's environment is PYTHONPATH alone: no PYTHONWARNINGS, PYTHONDEVMODE or NPY_DISABLE_CPU_FEATURES
+    write_inputs(tmp_path)
+    args = [arg.format(dir=tmp_path) for arg in argv.split()]
+    env = {"PYTHONPATH": str(Path(prodfn.__file__).resolve().parent.parent)}  # the prodfn this process imported
+    run = subprocess.run([sys.executable, "-m", "prodfn", *args], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    want = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    assert render(tmp_path, argv, run.returncode, run.stdout.decode("utf-8"), run.stderr.decode("utf-8")) == want
 
 
 def test_every_golden_file_has_a_case():
