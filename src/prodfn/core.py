@@ -236,6 +236,11 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
     return levels
 
 
+def _log_sum(ln_cK: float, eK: float, K: np.ndarray, ln_cL: float, eL: float, L: np.ndarray) -> np.ndarray:
+    """ln(cK * K**eK + cL * L**eL) from ln_cK and ln_cL: the CES family's sum of two terms, formed in logs."""
+    return np.logaddexp(ln_cK + eK * np.log(K), ln_cL + eL * np.log(L))
+
+
 def evaluate(fn: ProductionFunction, L: Scalarish, K: Scalarish) -> Scalarish:
     """Value of a production function at inputs (L, K), elementwise.
 
@@ -258,16 +263,9 @@ def evaluate(fn: ProductionFunction, L: Scalarish, K: Scalarish) -> Scalarish:
     elif isinstance(fn, CobbDouglas):
         y = fn.A * L_arr**fn.alpha * K_arr**fn.beta
     elif isinstance(fn, GeneralizedCES):
-        log_sum = np.logaddexp(
-            math.log(fn.cK) + fn.eK * np.log(K_arr),
-            math.log(fn.cL) + fn.eL * np.log(L_arr),
-        )
-        y = np.exp(fn.outer * log_sum)
+        y = np.exp(fn.outer * _log_sum(math.log(fn.cK), fn.eK, K_arr, math.log(fn.cL), fn.eL, L_arr))
     elif isinstance(fn, CES):
-        log_sum = np.logaddexp(
-            math.log(fn.alpha) + fn.p * np.log(K_arr),
-            math.log1p(-fn.alpha) + fn.p * np.log(L_arr),
-        )
+        log_sum = _log_sum(math.log(fn.alpha), fn.p, K_arr, math.log1p(-fn.alpha), fn.p, L_arr)
         y = fn.A * np.exp((fn.v / fn.p) * log_sum)
     else:
         raise TypeError(f"not a production function: {fn!r}")

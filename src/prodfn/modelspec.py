@@ -199,6 +199,11 @@ def _syntax_error(text: str, pos: int) -> ModelSyntaxError:
             return ModelSyntaxError(f"number {tok.text!r} overflows a float", tok.line, tok.col)
 
 
+# What a statement declares, by the statement's last group: what an error calls it, the group naming it, and the
+# offset of the error from that group's start (a rate equation is reported at the 'd' of d<NAME>)
+_DECLARES = {"init": ("variable", "var", 0), "rhs": ("rate equation for", "d", -1), "bound": ("role", "role", 0)}
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse and validate model text, returning a ModelSpec.
 
@@ -221,41 +226,22 @@ def parse_model(text: str) -> ModelSpec:
             raise _syntax_error(text, pos)
         pos = m.end()
         if name is not None:
-            if name in inits:
-                raise _error(
-                    DuplicateDeclarationError, f"variable {name!r} declared twice", text, m.start("var")
-                )
-            inits[name] = number
+            table, key, value = inits, name, number
         elif d is not None:
             if rhs != d:
-                raise _error(
-                    OffDiagonalRateError,
-                    f"d{d}/dt references {rhs!r}: only {d!r} itself is allowed",
-                    text,
-                    m.start("rhs"),
-                )
-            if d in rates:
-                raise _error(
-                    DuplicateDeclarationError,
-                    f"rate equation for {d!r} declared twice",
-                    text,
-                    m.start("d") - 1,  # the 'd' of d<NAME>
-                )
-            rates[d] = number
+                message = f"d{d}/dt references {rhs!r}: only {d!r} itself is allowed"
+                raise _error(OffDiagonalRateError, message, text, m.start("rhs"))
+            table, key, value = rates, d, number
         else:
-            if role in roles:
-                raise _error(
-                    DuplicateDeclarationError, f"role {role!r} declared twice", text, m.start("role")
-                )
             for other, taken in roles.items():
-                if taken == bound:
-                    raise _error(
-                        DuplicateDeclarationError,
-                        f"variable {bound!r} bound to both {other!r} and {role!r}",
-                        text,
-                        m.start("bound"),
-                    )
-            roles[role] = bound
+                if taken == bound and role not in roles:  # a role declared twice is reported first, below
+                    message = f"variable {bound!r} bound to both {other!r} and {role!r}"
+                    raise _error(DuplicateDeclarationError, message, text, m.start("bound"))
+            table, key, value = roles, role, bound
+        if key in table:
+            what, group, shift = _DECLARES[m.lastgroup]
+            raise _error(DuplicateDeclarationError, f"{what} {key!r} declared twice", text, m.start(group) + shift)
+        table[key] = value
     return _spec(inits, rates, roles)
 
 

@@ -271,10 +271,12 @@ def test_cli_golden(name, argv, tmp_path):
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_golden_in_a_fresh_interpreter(name, argv, tmp_path):
     # the in-process replay ignores warnings; a fresh interpreter prints any that escape to stderr.
-    # The child's environment is PYTHONPATH alone: no PYTHONWARNINGS, PYTHONDEVMODE or NPY_DISABLE_CPU_FEATURES
+    # The child's environment is PYTHONPATH and PYTHONDONTWRITEBYTECODE alone: no PYTHONWARNINGS, PYTHONDEVMODE or
+    # NPY_DISABLE_CPU_FEATURES, and no bytecode written into the source tree
     write_inputs(tmp_path)
     args = [arg.format(dir=tmp_path) for arg in argv.split()]
-    env = {"PYTHONPATH": str(Path(prodfn.__file__).resolve().parent.parent)}  # the prodfn this process imported
+    src = str(Path(prodfn.__file__).resolve().parent.parent)  # the prodfn this process imported
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     run = subprocess.run([sys.executable, "-m", "prodfn", *args], cwd=tmp_path, env=env, capture_output=True, timeout=120)
     want = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert render(tmp_path, argv, run.returncode, run.stdout.decode("utf-8"), run.stderr.decode("utf-8")) == want

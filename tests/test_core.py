@@ -179,6 +179,46 @@ def test_generalized_ces_evaluation_survives_huge_inner_exponents():
     assert math.isfinite(y) and y > 0
 
 
+def _reference_ces_family(fn, L, K):
+    """The two CES-family expressions of `evaluate`, each written out in full."""
+    L, K = np.asarray(L, dtype=float), np.asarray(K, dtype=float)
+    if isinstance(fn, GeneralizedCES):
+        log_sum = np.logaddexp(
+            math.log(fn.cK) + fn.eK * np.log(K),
+            math.log(fn.cL) + fn.eL * np.log(L),
+        )
+        return np.exp(fn.outer * log_sum)
+    log_sum = np.logaddexp(
+        math.log(fn.alpha) + fn.p * np.log(K),
+        math.log1p(-fn.alpha) + fn.p * np.log(L),
+    )
+    return fn.A * np.exp((fn.v / fn.p) * log_sum)
+
+
+# inner exponents up to 1/b of order 100, outer ones that keep most values finite
+coefficients = st.floats(min_value=1e-250, max_value=1e250)
+inner = st.floats(min_value=-150.0, max_value=150.0).filter(lambda e: e != 0.0)
+outer = st.floats(min_value=-2.0, max_value=2.0)
+shares = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+ces_family = st.one_of(
+    st.builds(GeneralizedCES, cK=coefficients, cL=coefficients, alpha=shares, eK=inner, eL=inner, outer=outer),
+    st.builds(CES, A=coefficients, alpha=shares, p=inner, v=outer),
+)
+factor_levels = st.floats(min_value=1e-3, max_value=1e4)
+
+
+@given(fn=ces_family, inputs=st.lists(st.tuples(factor_levels, factor_levels), min_size=1, max_size=8))
+@example(fn=GeneralizedCES(cK=1e250, cL=1e-200, alpha=0.5, eK=90.0, eL=80.0, outer=0.01), inputs=[(50.0, 50.0)])
+@example(fn=CES(A=1.0, alpha=0.3, p=300.0, v=1.0), inputs=[(1e200, 1e-200), (2.0, 3.0)])
+@settings(max_examples=300)
+def test_ces_family_evaluation_is_bit_equal_to_the_written_out_expressions(fn, inputs):
+    L, K = (np.array(x) for x in zip(*inputs))
+    with np.errstate(over="ignore", under="ignore"):
+        expected = _reference_ces_family(fn, L, K)
+        assert evaluate(fn, L, K).tobytes() == expected.tobytes()
+        assert np.float64(evaluate(fn, L[0], K[0])).tobytes() == _reference_ces_family(fn, L[0], K[0]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # type invariants
 

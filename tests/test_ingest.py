@@ -314,7 +314,7 @@ def csv_texts(draw, kinds=row_kinds, first_years=st.integers(1, 3000)):
 @example(text="year,L,K\n1899,1,1\n1900,2,nan\n1901,inf,1\n", cols=["L", "K"])
 @example(text="year,L,K\n1899,1,1\n\n1900,2,2\n1900,0,2\n", cols=["L", "K"])
 @settings(max_examples=400)
-def test_chunked_load_agrees_with_the_row_walk(text, cols):
+def test_the_record_loop_agrees_with_the_row_walk(text, cols):
     assert _outcome(load_series, io.StringIO(text), "year", cols) == _outcome(_row_walk, text, cols)
 
 
@@ -324,7 +324,7 @@ def test_padding_that_float_rejects_is_stripped_before_conversion():
 
 
 @pytest.mark.parametrize("cell, fault", [("0", "non-positive value '0'"), ("x", "non-numeric value 'x'")])
-def test_a_fault_in_the_second_chunk_names_its_row(cell, fault):
+def test_a_fault_past_record_1024_names_its_row(cell, fault):
     bad = 1024 + 7  # a record past the first 1,024; the header is row 1
     rows = [f"{1000 + i},{cell if i == bad else 1.5}\n" for i in range(2 * 1024)]
     text = "year,L\n" + "".join(rows)
@@ -335,7 +335,7 @@ def test_a_fault_in_the_second_chunk_names_its_row(cell, fault):
     assert _outcome(_row_walk, text, ["L"]) == (CsvFormatError, message, bad + 2)
 
 
-def test_every_series_spans_the_accepted_years_across_chunks():
+def test_every_series_spans_the_accepted_years_across_blank_records():
     n = 2 * 1024 + 5
     records = [f"{1000 + i},{1.5 + i},{2.5 + i}\n" for i in range(n)]
     records[1024 - 1 : 1024 - 1] = ["\n", " , ,\n"]  # blank records 1,024 and 1,025 lie between two years
@@ -442,7 +442,7 @@ def test_a_path_reads_as_the_csv_reader_reads_its_bytes(data, cols, tmp_path_fac
     ],
     ids=["lf", "crlf", "cr", "padding-and-blank-lines", "int64-max"],
 )
-def test_a_well_formed_file_never_reaches_the_chunk_pass(text, tmp_path):
+def test_a_well_formed_file_never_reaches_the_record_loop(text, tmp_path):
     path = tmp_path / "well_formed.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(ingest, "_text_stream", side_effect=AssertionError("the record loop ran")):

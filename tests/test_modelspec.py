@@ -147,6 +147,22 @@ def test_variable_bound_to_two_roles():
         )
 
 
+def test_a_role_declared_twice_is_reported_before_a_variable_bound_twice():
+    # the third role statement repeats 'labor' and binds 'K', which 'capital' already holds
+    with pytest.raises(DuplicateDeclarationError) as ei:
+        parse_model(
+            "var L = 1; dL/dt = 0.1 * L; var K = 2; dK/dt = 0.1 * K; role labor L; role capital K; role labor K;"
+        )
+    assert str(ei.value) == "line 1, col 92: role 'labor' declared twice"
+
+
+def test_an_off_diagonal_rate_is_reported_before_a_rate_declared_twice():
+    with pytest.raises(OffDiagonalRateError) as ei:
+        parse_model("var L = 1; dL/dt = 0.1 * L; dL/dt = 0.2 * K;")
+    assert (ei.value.line, ei.value.col) == (1, 43)
+    assert "references 'K'" in str(ei.value)
+
+
 def test_unknown_role_keyword():
     with pytest.raises(ModelSyntaxError, match="'land'"):
         parse_model("var L = 1; dL/dt = 0.1 * L; role land L;")
