@@ -17,6 +17,8 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -200,14 +202,71 @@ def _inside_exp(model: ExponentialModel, t_arr: np.ndarray) -> bool:
     return True
 
 
-def _levels(model: ExponentialModel, t_arr: np.ndarray) -> tuple[Scalarish, Scalarish, Scalarish]:
-    """L, K and Y on t_arr, each exp(t*b + ln_X0) built in one buffer (floats for a 0-d t_arr)."""
+def _levels(
+    model: ExponentialModel, t_arr: np.ndarray, out=(None, None, None)
+) -> tuple[Scalarish, Scalarish, Scalarish]:
+    """L, K and Y on t_arr, each exp(t*b + ln_X0) built in one buffer, `out`'s when given (floats for a 0-d t_arr)."""
     levels = []
-    for ln0, b in ((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)):
-        x = t_arr * b
+    for (ln0, b), x in zip(((model.ln_L0, model.b1), (model.ln_K0, model.b2), (model.ln_Y0, model.b3)), out):
+        x = np.multiply(t_arr, b, out=x)
         x += ln0
         levels.append(np.exp(x, out=x) if t_arr.ndim else float(np.exp(x)))
     return tuple(levels)
+
+
+# points per thread block: a 1-D grid of at least two is split at a block boundary between the caller and one worker
+# thread, each reducing its part in blocks of at most this size (at 32,768 the check's peak memory passes 2 MiB)
+_THREAD_BLOCK = 16384
+
+
+def _cut(n: int) -> int:
+    """Where a grid of n points is split between the caller and one worker thread: the multiple of `_THREAD_BLOCK`
+    nearest n/2, or 0 (no split) below two thread blocks or with fewer than 2 CPUs to run on."""
+    if n < 2 * _THREAD_BLOCK:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return (n + _THREAD_BLOCK) // (2 * _THREAD_BLOCK) * _THREAD_BLOCK if cpus >= 2 else 0
+
+
+def _both(first, second) -> list:
+    """[first(), second()], first() run in the caller while second() runs in one worker thread, joined before
+    returning or raising; when either raised, the caller's exception is re-raised, else the worker's."""
+    outcomes = [None, None]
+
+    def run(i, part):
+        try:
+            outcomes[i] = part()
+        except BaseException as exc:
+            outcomes[i] = exc
+
+    worker = threading.Thread(target=run, args=(1, second))
+    worker.start()
+    run(0, first)
+    worker.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
+def _split_levels(model: ExponentialModel, t_arr: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_levels` of a 1-D t_arr, allocated here and filled from `cut` on by a worker thread through out= slices.
+    Both parts run with every floating-point event raised; after an event the grid is built whole by `_levels`
+    under the caller's `np.errstate`, giving its warnings and errors."""
+    levels = tuple(np.empty(t_arr.size) for _ in range(3))
+
+    def fill(part: slice) -> None:
+        with np.errstate(all="raise"):
+            _levels(model, t_arr[part], tuple(x[part] for x in levels))
+
+    try:
+        _both(lambda: fill(slice(cut)), lambda: fill(slice(cut, None)))
+    except FloatingPointError:
+        return _levels(model, t_arr)
+    return levels
 
 
 def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalarish, Scalarish]:
@@ -219,10 +278,12 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
 
     Every grid's levels come from `_levels`: with no range check when the grid-ends rule (`_inside_exp`)
     holds, otherwise with overflow ignored, then walked to name the first bad t, L before K before Y.
+    A 1-D grid inside the rule and of at least two thread blocks is split with one worker thread (`_cut`).
     """
     t_arr = np.asarray(t, dtype=float)
     if _inside_exp(model, t_arr):
-        return _levels(model, t_arr)
+        cut = _cut(t_arr.size) if t_arr.ndim == 1 else 0
+        return _split_levels(model, t_arr, cut) if cut else _levels(model, t_arr)
     if not np.isfinite(t_arr).all():
         raise DomainError("t must be finite")
     with np.errstate(over="ignore"):

@@ -162,12 +162,19 @@ def _loadtxt(data: bytes, year_col, value_cols) -> list[np.ndarray] | None:
     Only UTF-8 text holding no `"` and no NUL, with no line longer than the csv field size
     limit and a data line after the header, is tried: numpy would split a quoted cell at its
     commas and take a cell over the limit, and Python 3.10's csv rejects a NUL.  The lines are
-    split at "\n", "\r\n" and "\r", as a file opened with newline="" splits them.
+    split at "\n", "\r\n" and "\r", as a file opened with newline="" splits them: by
+    `str.splitlines`, unless the text holds one of the other line boundaries it knows.  Unlike
+    `io.StringIO(text).readlines()`, it builds no 4-byte-per-character copy of the text; that
+    copy grows from a minimal allocation, which after a worker thread has run can belong to the
+    thread's malloc arena, and glibc then keeps the copy's pages there (README, "Grid kernels").
     """
     try:  # a UnicodeDecodeError is a ValueError
         if '"' in (text := data.decode("utf-8")) or "\0" in text:
             return None
-        lines = io.StringIO(text, newline="").readlines()
+        if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+            lines = io.StringIO(text, newline="").readlines()
+        else:
+            lines = text.splitlines(keepends=True)
         del text
         if max(map(len, lines), default=0) > csv.field_size_limit():
             return None

@@ -21,6 +21,7 @@ import warnings
 
 import numpy as np
 
+from . import core
 from .core import (
     CES,
     CobbDouglas,
@@ -31,6 +32,8 @@ from .core import (
     PowerLaw,
     ProdfnError,
     ProductionFunction,
+    _both,
+    _cut,
     evaluate,
     trajectory,
 )
@@ -244,6 +247,36 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
     return (Y, *_relative(fn, L, K, Y))
 
 
+def _blocks(fn: ProductionFunction, model: ExponentialModel, t, block: int, stop=()):
+    """The largest deviation over a 1-D grid's blocks of at most `block` points and the last block's levels,
+    computed with every floating-point event raised; (None, None) once `stop` is nonempty."""
+    with np.errstate(all="raise"):
+        worst = 0.0
+        for i in range(0, t.size, block):
+            if stop:
+                return None, None
+            levels = None  # free the last block's arrays before the next block's: malloc reuses them
+            levels = trajectory(model, t[i : i + block])
+            worst = max(worst, float(_relative(fn, *levels)[1].max()))
+    return worst, levels
+
+
+def _split(fn: ProductionFunction, model: ExponentialModel, t, cut: int) -> float:
+    """`_blocks` of a long 1-D grid in thread blocks, those before `cut` in the caller and the rest in one worker
+    thread: the largest deviation. An exception in one part stops the other after its current block, and `_both`
+    re-raises it."""
+    stop = []
+
+    def part(t_part):
+        try:
+            return _blocks(fn, model, t_part, core._THREAD_BLOCK, stop)[0]
+        except BaseException:
+            stop.append(True)
+            raise
+
+    return max(_both(lambda: part(t[:cut]), lambda: part(t[cut:])))
+
+
 def constancy_check(
     fn: ProductionFunction, model: ExponentialModel, t_grid
 ) -> float:
@@ -261,7 +294,9 @@ def constancy_check(
     values, warnings and errors.  0-d and 2-D grids are computed whole.  The
     trajectory of a one-block grid is held when its block raised nothing; the
     next check of the same model object and grid bytes evaluates `fn` on it
-    under the caller's `np.errstate`.
+    under the caller's `np.errstate`.  A grid of at least two thread blocks
+    (`core._cut`) is split with one worker thread (`_split`), each part in
+    blocks of at most `core._THREAD_BLOCK` points.
     """
     global _held
     t = np.asarray(t_grid, dtype=float)
@@ -270,13 +305,12 @@ def constancy_check(
         held = _held
         if held is not None and held[0] is model and held[1] == grid:
             return float(_relative(fn, *held[2])[1].max())
+        cut = _cut(t.size) if grid is None else 0
         try:
-            with np.errstate(all="raise"):
-                worst = 0.0
-                for i in range(0, t.size, _BLOCK):
-                    levels = None  # free the last block's arrays before the next block's: malloc reuses them
-                    levels = trajectory(model, t[i : i + _BLOCK])
-                    worst = max(worst, float(_relative(fn, *levels)[1].max()))
+            if cut:
+                worst, levels = _split(fn, model, t, cut), None
+            else:
+                worst, levels = _blocks(fn, model, t, _BLOCK)
         except (DomainError, FloatingPointError):
             pass
         else:

@@ -1,6 +1,9 @@
+import contextlib
+from unittest import mock
+
 import pytest
 
-from prodfn import ExponentialModel
+from prodfn import ExponentialModel, core
 
 # Exponential trends of the 1899-1922 U.S. labor/capital/production index
 # series from the classic Cobb-Douglas study: growth rates per year and log
@@ -19,3 +22,12 @@ CD1928 = ExponentialModel(
 @pytest.fixture
 def cd1928():
     return CD1928
+
+
+@contextlib.contextmanager
+def thread_blocks(block):
+    """Thread blocks of `block` points, and 2 CPUs whatever the host has: grids of two blocks or more are split
+    between the caller and one worker thread."""
+    with mock.patch.object(core, "_THREAD_BLOCK", block), \
+            mock.patch.object(core.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        yield

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -18,8 +19,9 @@ from prodfn import (
     evaluate,
     trajectory,
 )
+from prodfn import core
 from prodfn.core import _inside_exp
-from conftest import CD1928
+from conftest import CD1928, thread_blocks
 
 finite_rates = st.floats(min_value=-0.2, max_value=0.2, allow_nan=False)
 log_levels = st.floats(min_value=-2.0, max_value=6.0, allow_nan=False)
@@ -517,3 +519,34 @@ def formula_cases(draw):
 def test_one_formula_trajectory_is_the_two_formula_reference(case, mode):
     m, t = case
     assert _under_errstate(trajectory, m, t, mode) == _under_errstate(trajectory_reference, m, t, mode)
+
+
+# ---------------------------------------------------------------------------
+# a long grid's levels filled by the caller and one worker thread
+
+
+def _split_is_serial(block, m, t, mode):
+    threads = threading.active_count()
+    want = _under_errstate(trajectory_reference, m, t, mode)
+    with thread_blocks(block):
+        assert _under_errstate(trajectory, m, t, mode) == want
+    assert threading.active_count() == threads
+
+
+@given(st.sampled_from([1, 2, 3]), formula_cases(), st.sampled_from([None, "raise", "ignore", "call"]))
+@example(1, (ExponentialModel(1.0, 0.5, 0.0, 0.0, 0.0, 0.0), np.array([0.0, -720.0, 3.0, 4.0])), None)  # underflow
+@example(1, (ExponentialModel(1.0, 0.5, 0.0, 0.0, 0.0, 0.0), np.array([0.0, 1.0, 3.0, -720.0])), "call")
+@example(2, (ExponentialModel(1.0, 0.5, 0.0, 0.0, 0.0, 0.0), np.array([0.0, 3.0, -720.0, 709.5])), "raise")
+@settings(max_examples=500)
+def test_split_trajectory_is_the_serial_reference(block, case, mode):
+    _split_is_serial(block, *case, mode)
+
+
+@pytest.mark.parametrize("mode", [None, "raise", "ignore", "call"])
+@pytest.mark.parametrize("at", [0, -1], ids=["caller", "worker"])
+def test_split_trajectory_at_the_real_block_size(cd1928, at, mode):
+    t = np.linspace(0.0, 24.0, 2 * core._THREAD_BLOCK + 5)
+    _split_is_serial(core._THREAD_BLOCK, cd1928, t, mode)
+    t[at] = -29.0  # L(t) is subnormal: an underflow in one part
+    m = ExponentialModel(b1=1.0, b2=0.01, b3=0.02, ln_L0=-690.0, ln_K0=0.0, ln_Y0=0.0)
+    _split_is_serial(core._THREAD_BLOCK, m, t, mode)

@@ -376,7 +376,8 @@ def csv_files(draw):
             year, comma, rest = lines[i].partition(",")
             lines[i] = year + comma + "0" * LIMIT + rest
         elif edit == "blank-record":
-            lines.insert(i, draw(st.sampled_from([" ", "\t", ",,", " , ", "\xa0", ",", "\x1c"])))
+            blanks = [" ", "\t", ",,", " , ", "\xa0", ",", "\x1c", "\x0b", "\x85", "\u2028"]
+            lines.insert(i, draw(st.sampled_from(blanks)))
         elif edit == "header-only":
             lines = lines[:1] + [""]
         elif edit == "blank-only":

@@ -1,5 +1,6 @@
 import math
 import struct
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -32,10 +33,10 @@ from prodfn import (
     identity_chain_check,
     trajectory,
 )
-from prodfn import invariants
+from prodfn import core, invariants
 from prodfn.core import _inside_exp
 from prodfn.invariants import _deviation
-from conftest import CD1928
+from conftest import CD1928, thread_blocks
 
 T_GRID = np.arange(0.0, 24.0 + 1e-9, 0.5)
 
@@ -703,6 +704,158 @@ def test_blocked_constancy_stops_at_the_first_event():
             outcome = _held_outcome(lambda: constancy_check(fn, m, t), mode)
         assert traced.call_count == 2  # the first block, then the whole grid
         assert outcome == _held_outcome(lambda: constancy_check_reference(fn, m, t), mode)
+
+
+# ---------------------------------------------------------------------------
+# a long grid split between the caller and one worker thread
+
+
+def _split_is_serial(check, args, block, modes=(None, "raise", "ignore")):
+    """check(*args) on thread blocks of `block` points gives what the serial reference gives, under each mode,
+    and leaves no thread running."""
+    threads = threading.active_count()
+    for mode in modes:
+        want = _held_outcome(lambda: REFERENCES[check](*args), mode)
+        with thread_blocks(block):
+            assert _held_outcome(lambda: check(*args), mode) == want
+        assert threading.active_count() == threads
+
+
+@given(blocked_cases())
+@settings(max_examples=400)
+def test_split_constancy_is_the_serial_reference(case):
+    block, fn, m, t = case
+    with mock.patch.object(invariants, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
+        _split_is_serial(constancy_check, (fn, m, t), block)
+
+
+@given(st.sampled_from([1, 4, 7]), check_sequences())
+@settings(max_examples=300)
+def test_held_trajectories_interleave_with_split_grids(block, case):
+    fns, models, grids, steps = case
+    with mock.patch.object(invariants, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
+        for check, f, m, g, mode, write in steps:
+            t = grids[g]
+            if write is not None:
+                t.flat[write[0] % t.size] = write[1]
+            _split_is_serial(check, (fns[f], models[m], t), block, (mode,))
+
+
+@pytest.mark.parametrize("fn", [fundamental_invariant_K(CD1928), ces_like_member(CD1928, 0.5), D2_FUNCTION])
+def test_split_constancy_at_the_real_block_size(fn):
+    t = np.linspace(0.0, 24.0, 2 * core._THREAD_BLOCK + 1)  # two full thread blocks and a 1-point last block
+    _split_is_serial(constancy_check, (fn, CD1928, t), core._THREAD_BLOCK)
+
+
+def _gated_trajectory(caller, event_in_caller):
+    """A traced `trajectory` whose part without the event waits in its first block until the event has been
+    raised, and the (thread is the caller, t[0]) of every call."""
+    calls, raised, first = [], threading.Event(), []
+
+    def traced(model, t):
+        in_caller = threading.get_ident() == caller
+        calls.append(in_caller)
+        if in_caller != event_in_caller and not first:
+            first.append(True)
+            assert raised.wait(10)
+        try:
+            return trajectory(model, t)
+        except DomainError:
+            raised.set()
+            raise
+
+    return traced, calls
+
+
+@pytest.mark.parametrize("event_in_caller", [True, False], ids=["caller", "worker"])
+def test_split_stops_the_other_part_one_block_after_an_event(event_in_caller):
+    block = 64
+    t = np.linspace(0.0, 24.0, 16 * block)  # cut at 8 blocks: eight in each part
+    fn = cobb_douglas_member(CD1928, 0.5)
+    with thread_blocks(block):
+        cut = core._cut(t.size)
+        t[0 if event_in_caller else cut] = math.nan
+        traced, calls = _gated_trajectory(threading.get_ident(), event_in_caller)
+        threads = threading.active_count()
+        with mock.patch.object(invariants, "_BLOCK", block), \
+                mock.patch.object(invariants, "trajectory", side_effect=traced):
+            outcome = _held_outcome(lambda: constancy_check(fn, CD1928, t), None)
+        assert threading.active_count() == threads
+    assert cut == 8 * block
+    assert outcome == _held_outcome(lambda: constancy_check_reference(fn, CD1928, t), None)
+    assert calls[-1] is True  # the whole grid, in the caller
+    stopped = calls[:-1].count(not event_in_caller)
+    assert calls[:-1].count(event_in_caller) == 1 and stopped <= 2  # its current block, then at most one more
+
+
+def test_split_passes_the_worker_exception_to_the_caller_unchanged():
+    caller = threading.get_ident()
+    failure = TypeError("raised in the worker's part")
+
+    def evaluate_here(fn, L, K):
+        if threading.get_ident() != caller:
+            raise failure
+        return evaluate(fn, L, K)
+
+    threads = threading.active_count()
+    with thread_blocks(7), mock.patch.object(invariants, "_BLOCK", 7), \
+            mock.patch.object(invariants, "evaluate", side_effect=evaluate_here):
+        with pytest.raises(TypeError) as info:
+            constancy_check(cobb_douglas_member(CD1928, 0.5), CD1928, np.linspace(0.0, 24.0, 70))
+    assert info.value is failure
+    assert threading.active_count() == threads
+    not_a_function = ("cobb-douglas", 0.5)  # every block of both parts raises evaluate's TypeError
+    with mock.patch.object(invariants, "_BLOCK", 7):
+        _split_is_serial(constancy_check, (not_a_function, CD1928, np.linspace(0.0, 24.0, 70)), 7)
+
+
+def test_split_raises_the_caller_exception_before_the_worker_one():
+    caller, raised = threading.get_ident(), threading.Event()
+    failure = TypeError("raised in the caller's part")
+
+    def evaluate_here(fn, L, K):
+        if np.size(L) > 7:  # the whole grid
+            return evaluate(fn, L, K)
+        if threading.get_ident() == caller:
+            raised.set()
+            raise failure
+        assert raised.wait(10)
+        raise DomainError("raised in the worker's part, after the caller's")  # alone, it would send the grid whole
+
+    with thread_blocks(7), mock.patch.object(invariants, "_BLOCK", 7), \
+            mock.patch.object(invariants, "evaluate", side_effect=evaluate_here):
+        with pytest.raises(TypeError) as info:
+            constancy_check(cobb_douglas_member(CD1928, 0.5), CD1928, np.linspace(0.0, 24.0, 70))
+    assert info.value is failure
+
+
+@pytest.mark.parametrize("t", [np.arange(0.0, 24.0 + 0.125, 0.25), np.linspace(0.0, 24.0, 16385),
+                               np.array(3.0), np.linspace(0.0, 24.0, 40000).reshape(2, -1)],
+                         ids=["97-point", "below-two-thread-blocks", "0-d", "2-d"])
+def test_short_and_not_1d_grids_are_not_split(t):
+    with mock.patch.object(core.threading, "Thread", side_effect=AssertionError("a thread started")), \
+            mock.patch.object(invariants, "_held", None):
+        for fn in (cobb_douglas_member(CD1928, 0.5), ces_like_member(CD1928, 0.5)):
+            constancy_check(fn, CD1928, t)
+            constancy_check(fn, CD1928, t)  # the held trajectory, for a one-block grid
+        trajectory(CD1928, t)
+
+
+def test_split_needs_two_cpus(monkeypatch):
+    n = 10**6
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert core._cut(n) == 0
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert core._cut(n) == 31 * core._THREAD_BLOCK  # the block boundary nearest the middle
+    monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+    assert core._cut(n) == 0
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core._cut(n) == 0
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+    assert core._cut(n) == 31 * core._THREAD_BLOCK
+    assert core._cut(2 * core._THREAD_BLOCK - 1) == 0
+    assert core._cut(2 * core._THREAD_BLOCK) == core._THREAD_BLOCK
 
 
 GRID_97 = np.arange(0.0, 24.0 + 0.125, 0.25)

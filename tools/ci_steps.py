@@ -33,8 +33,9 @@ def tier1() -> None:
 
 
 def baseline_simd() -> None:
-    # a block must give every point the bits the whole grid gives, and trajectory's two paths those of the two-formula
-    # reference, whichever kernels numpy picks; numpy refuses to disable a baseline feature, so disable its dispatch
+    # a block must give every point the bits the whole grid gives, trajectory's two paths those of the two-formula
+    # reference and a grid split with a worker thread those of the serial code, whichever kernels numpy picks; numpy
+    # refuses to disable a baseline feature, so disable its dispatch
     try:
         from numpy._core import _multiarray_umath as m
         targets = " ".join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f))
@@ -43,7 +44,8 @@ def baseline_simd() -> None:
         return
     print(f"NPY_DISABLE_CPU_FEATURES={targets}", flush=True)
     env = {"PYTHONPATH": "src", "NPY_DISABLE_CPU_FEATURES": targets}
-    _run(*PYTEST, "tests/test_invariants.py", "-k", "blocked_constancy or held_trajectories or one_trajectory", **env)
+    _run(*PYTEST, "tests/test_invariants.py", "-k",
+         "blocked_constancy or held_trajectories or one_trajectory or split", **env)
     _run(*PYTEST, "tests/test_core.py", "-k", "trajectory", **env)
 
 
