@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,19 +250,222 @@ def _fmt_float(x: float) -> str:
     return _FLOAT_FORMAT % x
 
 
-def _write_csv(dest, header: Sequence[str], columns, first: str = _FLOAT_FORMAT) -> None:
+_BLOCK_ROWS = 1024  # rows `_write_csv` formats in one numpy pass (README, "Library quickstart", on its size)
+
+
+def _write_csv(dest, header: Sequence[str], columns: Sequence[Sequence], first: str = _FLOAT_FORMAT) -> None:
     """Write a header row, then one row of numbers per index of `columns`: the first column's
-    printed with the `first` template, every other one with 17 significant digits.
+    printed with the `first` template, "%d" or the float one, every other one with 17 significant digits.
 
     `dest` is as in `write_series`.  The header is quoted as `csv` quotes it, so
-    `load_series` reads every name back; numbers never need quoting.
+    `load_series` reads every name back; numbers never need quoting.  `_format_rows` prints the
+    rows `_BLOCK_ROWS` at a time; a block it refuses goes through `fmt % row` one row at a time,
+    which names the first non-finite value after writing the rows before it.  Each row is one
+    `write` (README, "Library quickstart").
     """
     with _text_stream(dest) as stream:
         line = io.StringIO()  # the default "\r\n" terminator makes csv quote a "\r" too
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
         fmt = ",".join([first, *[_FLOAT_FORMAT] * (len(columns) - 1)]) + "\n"
-        for row in zip(*columns):
-            if "n" in (text := fmt % row):
-                list(map(_fmt_float, map(float, row)))  # raises at the first of them
-            stream.write(text)
+        tables = _tables()
+        for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+            block = [column[start : start + _BLOCK_ROWS] for column in columns]
+            if (text := _format_rows(block, first == "%d", tables)) is not None:
+                stream.writelines(text.splitlines(keepends=True))
+                continue
+            for row in zip(*block):
+                if "n" in (text := fmt % row):
+                    list(map(_fmt_float, map(float, row)))  # raises at the first of them
+                stream.write(text)
+
+
+_S_MIN, _S_MAX = -270, 300  # the range of s in |x|·10**s that `_decimal` may need
+
+
+class _Tables(NamedTuple):
+    """The lookup tables of one `_write_csv` call; none is built at import."""
+
+    digits: np.ndarray  # the ASCII of 0000..9999 as uint64, the first digit in the lowest byte
+    heads: np.ndarray  # lane 0 of `_cells` by min(X, 0) + 4 + 5·negative: "-", then "0." and zeros for X < 0
+    above: np.ndarray  # above[k, i]: the bytes of lane k + 1 at or past byte i of lanes 1-3
+    point: np.ndarray  # point[k, i]: "." at byte i of lanes 1-3, if it falls in lane k + 1
+    tails: np.ndarray  # by X + 300: "e", the sign and the exponent's digits for scientific notation, else 0
+    powers: np.ndarray  # the rows of `_pow10(s)` by s - _S_MIN, NaN until a block needs them
+
+
+def _tables() -> _Tables:
+    d = np.arange(10, dtype=np.uint64) + ord("0")
+    digits = (d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16 | d << 24).ravel()
+    heads = [sign + ("0." + "0" * (-x - 1) if x < 0 else "") for sign in ("", "-") for x in range(-4, 1)]
+    x = np.arange(-300, 301)
+    exponent = digits[np.abs(x)] >> np.where(np.abs(x) < 100, 16, 8).astype(np.uint64)  # "0ddd" less 2 or 1 digits
+    sign = np.where(x < 0, ord("-"), ord("+")).astype(np.uint64)
+    return _Tables(
+        digits,
+        np.array([int.from_bytes(h.encode(), "little") for h in heads], np.uint64),
+        np.array([[~((1 << 8 * min(max(i - 8 * k, 0), 8)) - 1) % 2**64 for i in range(25)] for k in range(3)], np.uint64),
+        np.array([[ord(".") << 8 * (i - 8 * k) if 0 <= i - 8 * k < 8 else 0 for i in range(25)] for k in range(3)], np.uint64),
+        np.where((x < -4) | (x > 16), ord("e") | sign << 8 | exponent << 16, 0).astype(np.uint64),
+        np.full((4, _S_MAX - _S_MIN + 1), np.nan),
+    )
+
+
+def _format_rows(columns, years: bool, tables: _Tables) -> str | None:
+    """The CSV text of the rows of `columns`, each cell byte for byte `'%.17g' % x`, or `'%d' % x`
+    for the first column if `years`.  None for a block `_write_csv` prints row by row: one with no
+    float column, anything but bool, int and float values, columns of unequal length, a non-finite
+    value, a nonzero |x| outside (1e-280, 1e280), a year of 10**16 or more in magnitude, or a value
+    whose rounding `_decimal` cannot prove."""
+    arrays = [np.arange(c.start, c.stop, c.step) if _small_range(c) else np.asarray(c) for c in columns]
+    rows, cols = len(arrays[0]), len(arrays)
+    if cols == years or any(a.ndim != 1 or a.dtype.kind not in "biuf" or len(a) != rows for a in arrays):
+        return None
+    if years and (arrays[0].dtype.kind == "f" or not ((arrays[0] > -(10**16)) & (arrays[0] < 10**16)).all()):
+        return None
+    x = np.empty((rows, cols - years))
+    for j, a in enumerate(arrays[years:]):
+        x[:, j] = a
+    if (decimal := _decimal(x.ravel(), tables.powers)) is None:
+        return None
+    D, X, neg = (np.empty((rows, cols), t) for t in (np.int64, np.int64, bool))
+    D[:, years:], X[:, years:] = (v.reshape(rows, -1) for v in decimal)
+    neg[:, years:] = np.signbit(x)
+    if years:  # |y| < 10**16 is D = |y|·10**(16 - X) with X + 1 its digits, so it prints as an integer
+        y = arrays[0].astype(np.int64)
+        D[:, 0] = np.abs(y)
+        powers = 10 ** np.arange(17)
+        X[:, 0] = np.maximum(np.searchsorted(powers[:16], D[:, 0], side="right") - 1, 0)
+        D[:, 0] *= powers[16 - X[:, 0]]
+        neg[:, 0] = y < 0
+    sep = np.full((rows, cols), ord(",") << 56, np.uint64)
+    sep[:, -1] = ord("\n") << 56
+    return _cells(D.ravel(), X.ravel(), neg.ravel(), sep.ravel(), tables)
+
+
+def _small_range(column) -> bool:
+    """Whether `column` is a non-empty range of ints below 10**16 in magnitude, which np.arange
+    builds in C where np.asarray would read each int."""
+    return isinstance(column, range) and len(column) > 0 and max(abs(column[0]), abs(column[-1])) < 10**16
+
+
+def _decimal(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(D, X) with |x| = D·10**(X - 16) rounded half to even to 17 digits, D in [10**16, 10**17)
+    or 0 for a zero; None if any |x| is nonzero outside (1e-280, 1e280), a NaN included, or any
+    rounding falls within 2**-30 of a half without being an exact tie.  `powers` is `_Tables.powers`.
+
+    The exponent is first estimated by `log10` and corrected where the 17-digit integer falls
+    outside [10**16, 10**17).  |x|·10**s is then floor(|x|·hi + |x|·lo) for a double-double
+    10**s = hi + lo built from Python ints, to within 1e-14; where 0 <= s <= 22, 10**s is a
+    double, lo is 0 and the product is exact, so a fraction of exactly 0.5 is a tie.  The range
+    keeps lo, Dekker's split and the products clear of overflow and of subnormals.
+    """
+    a = np.abs(x)
+    a[zero := a == 0] = 1.0  # printed as 0 below
+    if not ((a < 1e280) & (a > 1e-280)).all():
+        return None
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    first = int(s.min()) - 1 - _S_MIN
+    if len(new := np.flatnonzero(np.isnan(powers[0, first : int(s.max()) + 2 - _S_MIN])) + first):
+        powers[:, new] = np.array([_pow10(int(j) + _S_MIN) for j in new]).T
+    D, r = _scaled(a, powers[:, s - _S_MIN])
+    if (step := _exponent_step(D, r)).any():
+        i = np.flatnonzero(step)
+        s[i] += step[i]
+        D[i], r[i] = _scaled(a[i], powers[:, s[i] - _S_MIN])
+        if _exponent_step(D[i], r[i]).any():
+            return None
+    up = r > 0.5
+    if (near := np.abs(r - 0.5) < 2**-30).any():
+        if ((s[near] < 0) | (s[near] > 22)).any():
+            return None
+        up |= (r == 0.5) & (D & 1 == 1)
+    D += up
+    carry = D == 10**17
+    D[carry] = 10**16
+    D[zero] = 0
+    return D, 16 - s + carry
+
+
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """(hi, lo, h1, h2): hi the double nearest 10**k, lo the double nearest 10**k - hi (int
+    division is correctly rounded), and hi = h1 + h2 split into halves of 26 bits for Dekker's
+    product: 2**27 + 1 is the splitter."""
+    if k >= 0:
+        hi = float(10**k)
+        lo = float(10**k - int(hi))
+    else:
+        hi = 1 / 10**-k
+        n, d = hi.as_integer_ratio()
+        lo = (d - n * 10**-k) / (d * 10**-k)
+    c = hi * 134217729.0
+    h1 = c - (c - hi)
+    return hi, lo, h1, hi - h1
+
+
+def _scaled(a: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a·(hi + lo)) as int64 and the fraction left over, for `power` the rows of `_pow10`:
+    a·hi = p + e exactly, by Dekker's product, plus a·lo.  From 2**53 up, p is an integer, and a
+    smaller p only occurs where `_exponent_step` corrects the exponent."""
+    hi, lo, h1, h2 = power
+    p = a * hi
+    c = a * 134217729.0
+    a1 = c - (c - a)
+    a2 = a - a1
+    fraction = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+    carry = np.floor(fraction)
+    return p.astype(np.int64) + carry.astype(np.int64), fraction - carry
+
+
+def _exponent_step(D: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """+1 where the scaled value has fewer than 17 digits, -1 where it has more; a fraction within
+    2**-30 of 1 counts as the next integer, which rounds the same at either exponent."""
+    top = D + (r > 1 - 2**-30)
+    return (top < 10**16).astype(np.int64) - (top >= 10**17)
+
+
+def _ascii8(v: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each v < 10**8 as uint64, the first in the lowest byte."""
+    h = v // 10**4
+    return digits[h] | digits[v - h * 10**4] << 32
+
+
+_ZEROS = 0x3030303030303030  # "00000000"
+
+
+def _cells(D: np.ndarray, X: np.ndarray, neg: np.ndarray, sep: np.ndarray, tables: _Tables) -> str:
+    """The text of the cells ±D[i]·10**(X[i] - 16) as `%.17g` prints them, each followed by sep[i],
+    a byte in the top byte of a uint64; C's `%g` rules: scientific notation for X < -4 or X >= 17,
+    trailing zeros and a bare "." dropped, an exponent of at least 2 digits.
+
+    A cell is built in little-endian uint64 lanes, the first byte lowest, whose NUL bytes the join
+    drops.  Lanes 1-3 hold the 17 digits with a "." inserted after the integer digits and the
+    bytes past the last one printed cleared, at most 18 bytes, then the exponent from byte 18 and
+    `sep` in byte 23.  Lane 0, left out of a block that needs none, holds the sign, then "0." and
+    zeros for a fixed-notation X < 0.
+    """
+    sci = (X < -4) | (X > 16)
+    Xf = np.where(sci, 0, X)  # scientific notation lays out d.dddd as X = 0 does
+    top = D // 10**9
+    rest = D - top * 10**9
+    mid = rest // 10
+    last = (rest - mid * 10).astype(np.uint64)
+    lanes = [_ascii8(top, tables.digits), _ascii8(mid, tables.digits), last + ord("0")]
+    # significant digits: a lane of digit values keeps bits 4-7 of each byte clear, so its float
+    # conversion cannot round up to the next power of two, and frexp's exponent is its bit length
+    nbytes = [(np.frexp(lane - _ZEROS)[1] + 7) // 8 for lane in lanes[:2]]
+    nd = np.where(last != 0, 17, np.where(nbytes[1] > 0, 8 + nbytes[1], nbytes[0]))
+    lead = np.minimum(Xf, 0) + 4 + 5 * neg
+    head = bool((lead != 4).any())
+    out = np.empty((len(D), 3 + head), "<u8")
+    if head:
+        out[:, 0] = tables.heads[lead]
+    dot = np.where(Xf >= 0, Xf + 1, 24)  # past the digits: the "." of a fixed-notation X < 0 is in lane 0
+    length = np.where(Xf >= 0, np.where(nd > Xf + 1, nd + 1, Xf + 1), nd)
+    moved = 0  # the bytes of the previous lane past the "."
+    for k, lane in enumerate(lanes):  # lane + high·255: the bytes below the "." stay, the rest move up one
+        high = lane & tables.above[k][dot]
+        out[:, head + k] = (lane + high * 255 | moved >> 56 | tables.point[k][dot]) & ~tables.above[k][length]
+        moved = high
+    out[:, -1] |= tables.tails[X + 300] << 16 | sep
+    return out.tobytes().translate(None, b"\0").decode("ascii")

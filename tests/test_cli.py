@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import prodfn.cli
-from prodfn import CsvFormatError, ExponentialModel, ProdfnError, crs_elasticities, load_series
+from prodfn import CsvFormatError, ExponentialModel, ProdfnError, crs_elasticities, load_series, trajectory
 from prodfn.cli import (
     MAX_GRID_POINTS,
     InputFormatError,
@@ -645,6 +645,17 @@ def test_simulate_zero_rates_constant(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",")[1:] for line in out.splitlines()[1:]]
     assert all(row == rows[0] for row in rows)
+
+
+def test_simulate_on_a_grid_of_several_blocks_prints_each_row_as_format_17g(tmp_path, capsys):
+    # the goldens cover 97 points; 10,001 points are ten blocks of the CSV writer
+    spec = tmp_path / "m.txt"
+    spec.write_text(EXAMPLE_MODEL_TEXT)
+    code, out, _ = run(capsys, "simulate", "--model", str(spec), "--grid=-100:2400:0.25")
+    assert code == 0
+    t = _grid(-100.0, 2400.0, 0.25)
+    columns = [t.tolist(), *(c.tolist() for c in trajectory(load_model_source(str(spec)), t))]
+    assert out == "t,L,K,Y\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
 
 
 def test_simulate_overflow_is_math_error(tmp_path, capsys):

@@ -631,34 +631,106 @@ def test_write_then_load_finds_a_series_under_its_exact_name(name, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# _write_csv bytes
+# _write_csv bytes: the numpy block path against the per-row `%` rendering it stands for
 
+# exact ties, powers of ten and their neighbours, the edges of fixed notation, zeros, subnormals
+# and the edges of the block path's range
+EDGE_CELLS = [
+    12374637281.4296875, 3 * 2**-24, 0.5, 2.5, 1e-5, 1e-4, 9.9999999999999995e-05, 1e16, 1e17, 99999999999999999.0,
+    0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e308, 1e280, 1e-280, 1e22, 1e23, 0.1,
+    *(y for k in range(-300, 301, 7) for y in (10.0**k, math.nextafter(10.0**k, 0), math.nextafter(10.0**k, math.inf))),
+]
 cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 0.1, 1e16, 1e308, -1e308]),
+    st.sampled_from(EDGE_CELLS + [-x for x in EDGE_CELLS]),
 )
 rows_of_cells = st.lists(st.tuples(st.integers(-(10**6), 10**6), cells, cells), max_size=20)
+block_rows = st.sampled_from([1, 3, 2048])  # rows per block: several blocks, or one
 
 
 def _per_cell(rows):
     return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
 
 
-@given(rows=rows_of_cells)
+@given(rows=rows_of_cells, block=block_rows)
 @settings(max_examples=300)
-def test_write_csv_prints_each_cell_as_format_17g(rows):
+def test_write_csv_prints_each_cell_as_format_17g(rows, block):
     columns = tuple(zip(*rows)) if rows else ((), (), ())
-    buf = io.StringIO()
-    ingest._write_csv(buf, ("year", "a", "b"), columns)
-    assert buf.getvalue() == "year,a,b\n" + _per_cell(rows)
-    buf = io.StringIO()
-    ingest._write_csv(buf, ("t", "a", "b"), tuple(np.array(col, dtype=np.float64) for col in columns))
-    assert buf.getvalue() == "t,a,b\n" + _per_cell([tuple(map(float, row)) for row in rows])
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        buf = io.StringIO()
+        ingest._write_csv(buf, ("year", "a", "b"), columns)
+        assert buf.getvalue() == "year,a,b\n" + _per_cell(rows)
+        buf = io.StringIO()
+        ingest._write_csv(buf, ("t", "a", "b"), tuple(np.array(col, dtype=np.float64) for col in columns))
+        assert buf.getvalue() == "t,a,b\n" + _per_cell([tuple(map(float, row)) for row in rows])
 
 
-@given(rows=rows_of_cells, k=st.integers(0, 20), bad=st.sampled_from([math.inf, -math.inf, math.nan]), col=st.integers(1, 2))
+@given(years=st.lists(st.integers(-(2**70), 2**70) | st.sampled_from([0, -1, 10**16 - 1, 10**16, 2**63]), max_size=20),
+       block=block_rows)
 @settings(max_examples=200)
-def test_write_csv_stops_before_a_non_finite_row(rows, k, bad, col):
+def test_write_csv_prints_a_year_as_format_d(years, block):
+    values = [1.0 + i / 3 for i in range(len(years))]
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        buf = io.StringIO()
+        ingest._write_csv(buf, ("year", "a"), (tuple(years), tuple(values)), first="%d")
+    assert buf.getvalue() == "year,a\n" + "".join(f"{y},{v:.17g}\n" for y, v in zip(years, values))
+
+
+def test_write_csv_prints_columns_longer_than_one_block():
+    n = 2 * ingest._BLOCK_ROWS + 5
+    rng = np.random.default_rng(29)
+    columns = (np.arange(n) * 0.25, rng.lognormal(0.0, 40.0, n), -rng.uniform(0.0, 1e-3, n), rng.integers(-9, 9, n) / 8)
+    buf = io.StringIO()
+    ingest._write_csv(buf, ("t", "a", "b", "c"), columns)
+    assert buf.getvalue() == "t,a,b,c\n" + _per_cell(zip(*(c.tolist() for c in columns)))
+    buf = io.StringIO()
+    ingest._write_csv(buf, ("t", "a", "b", "c"), (range(-5, n - 5), *columns[1:]), first="%d")
+    assert buf.getvalue() == "t,a,b,c\n" + "".join(
+        f"{year}," + _per_cell([row]) for year, row in zip(range(-5, n - 5), zip(*(c.tolist() for c in columns[1:])))
+    )
+
+
+def test_write_csv_matches_format_17g_on_random_bit_patterns():
+    # the block path takes the finite values in its range, every other one goes row by row
+    x = np.random.default_rng(2029).integers(0, 2**64, 240_000, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)]
+    a = np.abs(x)
+    inside = (a == 0) | ((a > 1e-280) & (a < 1e280))
+    for part, block_path in ((x[inside], True), (x[~inside], False)):
+        columns = tuple(part[: len(part) // 4 * 4].reshape(4, -1))
+        texts, format_rows = [], ingest._format_rows
+
+        def spy(*args):
+            texts.append(format_rows(*args))
+            return texts[-1]
+
+        buf = io.StringIO()
+        with mock.patch.object(ingest, "_format_rows", spy):
+            ingest._write_csv(buf, ("a", "b", "c", "d"), columns)
+        assert buf.getvalue() == "a,b,c,d\n" + _per_cell(zip(*(c.tolist() for c in columns)))
+        assert texts and all((text is not None) == block_path for text in texts)
+    assert inside.sum() >= 200_000
+
+
+def test_write_csv_leaves_an_unproven_half_to_the_per_row_loop():
+    tables = ingest._tables()
+    # an exact tie where 10**6 is a double goes the block path; 10**23 is none, so 3·2**-24 does not
+    assert ingest._format_rows([(12374637281.4296875,)], False, tables) == "12374637281.429688\n"
+    assert ingest._format_rows([(3 * 2**-24,)], False, tables) is None
+    buf = io.StringIO()
+    ingest._write_csv(buf, ("a",), [(3 * 2**-24,)])
+    assert buf.getvalue() == "a\n1.7881393432617188e-07\n"
+
+
+@given(
+    rows=rows_of_cells,
+    k=st.integers(0, 20),
+    bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    col=st.integers(1, 2),
+    block=block_rows,
+)
+@settings(max_examples=200)
+def test_write_csv_stops_before_a_non_finite_row(rows, k, bad, col, block):
     k = min(k, len(rows))
     row = list(rows[k]) if k < len(rows) else [1, 1.0, 1.0]
     row[col] = bad
@@ -666,7 +738,7 @@ def test_write_csv_stops_before_a_non_finite_row(rows, k, bad, col):
         row[2] = math.nan  # only the first non-finite cell of the row is named
     rows = [*rows[:k], tuple(row), *rows[k:]]
     buf = io.StringIO()
-    with pytest.raises(ValueError) as ei:
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block), pytest.raises(ValueError) as ei:
         ingest._write_csv(buf, ("year", "a", "b"), tuple(zip(*rows)))
     assert str(ei.value) == f"cannot serialize non-finite float {bad!r}"
     assert buf.getvalue() == "year,a,b\n" + _per_cell(rows[:k])

@@ -34,7 +34,8 @@ def tier1() -> None:
 
 def baseline_simd() -> None:
     # a block must give every point the bits the whole grid gives, trajectory's two paths those of the two-formula
-    # reference and a grid split with a worker thread those of the serial code, whichever kernels numpy picks; numpy
+    # reference, a grid split with a worker thread those of the serial code and the CSV writer's numpy blocks the
+    # bytes of `%.17g` (its log10 estimate may differ between kernels), whichever kernels numpy picks; numpy
     # refuses to disable a baseline feature, so disable its dispatch
     try:
         from numpy._core import _multiarray_umath as m
@@ -47,6 +48,7 @@ def baseline_simd() -> None:
     _run(*PYTEST, "tests/test_invariants.py", "-k",
          "blocked_constancy or held_trajectories or one_trajectory or split", **env)
     _run(*PYTEST, "tests/test_core.py", "-k", "trajectory", **env)
+    _run(*PYTEST, "tests/test_ingest.py", "-k", "write_csv", **env)
 
 
 def smoke(trace: int, *workloads: str) -> None:
