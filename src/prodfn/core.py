@@ -214,8 +214,13 @@ def _levels(
     return tuple(levels)
 
 
+# points per block of a grid run in the caller alone: 64 KB per array, in L2 and small enough that glibc's malloc
+# reuses the freed arrays (at 80 KB and above it returns them, and every block faults); a grid of at most this many
+# points is one block, whose trajectory `constancy_check` holds
+_BLOCK = 8192
+
 # points per thread block: a 1-D grid of at least two is split at a block boundary between the caller and one worker
-# thread, each reducing its part in blocks of at most this size (at 32,768 the check's peak memory passes 2 MiB)
+# thread, each running its part in blocks of at most this size (at 32,768 the check's peak memory passes 2 MiB)
 _THREAD_BLOCK = 16384
 
 
@@ -231,42 +236,37 @@ def _cut(n: int) -> int:
     return (n + _THREAD_BLOCK) // (2 * _THREAD_BLOCK) * _THREAD_BLOCK if cpus >= 2 else 0
 
 
-def _both(first, second) -> list:
-    """[first(), second()], first() run in the caller while second() runs in one worker thread, joined before
-    returning or raising; when either raised, the caller's exception is re-raised, else the worker's."""
-    outcomes = [None, None]
+def _blocks(n: int, work, block: int | None = None) -> list:
+    """[work(s) for s in slices] over the slices of range(n) in grid order, each part under np.errstate(all="raise").
+    With a cut (`_cut`) the slices before it run in the caller while one worker thread runs the rest, each of at most
+    `block` or `_THREAD_BLOCK` points; with none the caller runs every slice, of at most `block` or `_BLOCK` points.
+    An exception in either part stops the other after its current slice; the worker is joined, then the caller's
+    exception is re-raised, else the worker's."""
+    cut = _cut(n)
+    block = block or (_THREAD_BLOCK if cut else _BLOCK)
+    outcomes = [[], []]
 
-    def run(i, part):
+    def run(i, start, end):
         try:
-            outcomes[i] = part()
+            with np.errstate(all="raise"):
+                for s in range(start, end, block):
+                    if isinstance(outcomes[1 - i], BaseException):
+                        return
+                    outcomes[i].append(work(slice(s, min(s + block, end))))
         except BaseException as exc:
             outcomes[i] = exc
 
-    worker = threading.Thread(target=run, args=(1, second))
-    worker.start()
-    run(0, first)
-    worker.join()
+    if cut:
+        worker = threading.Thread(target=run, args=(1, cut, n))
+        worker.start()
+        run(0, 0, cut)
+        worker.join()
+    else:
+        run(0, 0, n)
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
-    return outcomes
-
-
-def _split_levels(model: ExponentialModel, t_arr: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_levels` of a 1-D t_arr, allocated here and filled from `cut` on by a worker thread through out= slices.
-    Both parts run with every floating-point event raised; after an event the grid is built whole by `_levels`
-    under the caller's `np.errstate`, giving its warnings and errors."""
-    levels = tuple(np.empty(t_arr.size) for _ in range(3))
-
-    def fill(part: slice) -> None:
-        with np.errstate(all="raise"):
-            _levels(model, t_arr[part], tuple(x[part] for x in levels))
-
-    try:
-        _both(lambda: fill(slice(cut)), lambda: fill(slice(cut, None)))
-    except FloatingPointError:
-        return _levels(model, t_arr)
-    return levels
+    return outcomes[0] + outcomes[1]
 
 
 def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalarish, Scalarish]:
@@ -278,12 +278,21 @@ def trajectory(model: ExponentialModel, t: Scalarish) -> tuple[Scalarish, Scalar
 
     Every grid's levels come from `_levels`: with no range check when the grid-ends rule (`_inside_exp`)
     holds, otherwise with overflow ignored, then walked to name the first bad t, L before K before Y.
-    A 1-D grid inside the rule and of at least two thread blocks is split with one worker thread (`_cut`).
+    A 1-D grid inside the rule and of at least two thread blocks is allocated here and filled through out= slices
+    by `_blocks`, one fill per part: split with one worker thread on 2 CPUs or more (`_cut`), else in the caller.
+    The fills run with every floating-point event raised; after an event the grid is built whole by `_levels`
+    under the caller's `np.errstate`, giving its warnings and errors.
     """
     t_arr = np.asarray(t, dtype=float)
     if _inside_exp(model, t_arr):
-        cut = _cut(t_arr.size) if t_arr.ndim == 1 else 0
-        return _split_levels(model, t_arr, cut) if cut else _levels(model, t_arr)
+        if t_arr.ndim != 1 or t_arr.size < 2 * _THREAD_BLOCK:
+            return _levels(model, t_arr)
+        levels = tuple(np.empty(t_arr.size) for _ in range(3))
+        try:
+            _blocks(t_arr.size, lambda part: _levels(model, t_arr[part], tuple(x[part] for x in levels)), t_arr.size)
+        except FloatingPointError:
+            return _levels(model, t_arr)
+        return levels
     if not np.isfinite(t_arr).all():
         raise DomainError("t must be finite")
     with np.errstate(over="ignore"):

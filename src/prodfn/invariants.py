@@ -32,8 +32,6 @@ from .core import (
     PowerLaw,
     ProdfnError,
     ProductionFunction,
-    _both,
-    _cut,
     evaluate,
     trajectory,
 )
@@ -218,10 +216,6 @@ def ces_reduction(model: ExponentialModel, alpha: float, tol: float = 1e-9) -> C
     return CES(A=A, alpha=alpha, p=p, v=v)
 
 
-# points per block of a long grid: 64 KB per array, in L2 and small enough that
-# glibc's malloc reuses the freed arrays (at 80 KB and above it returns them, and every block faults)
-_BLOCK = 8192
-
 # (model, grid bytes, (L, K, Y)) of the last one-block grid, read once and replaced whole;
 # holding the model keeps its id from reuse
 _held = None
@@ -247,36 +241,6 @@ def _deviation(fn: ProductionFunction, model: ExponentialModel, t_grid):
     return (Y, *_relative(fn, L, K, Y))
 
 
-def _blocks(fn: ProductionFunction, model: ExponentialModel, t, block: int, stop=()):
-    """The largest deviation over a 1-D grid's blocks of at most `block` points and the last block's levels,
-    computed with every floating-point event raised; (None, None) once `stop` is nonempty."""
-    with np.errstate(all="raise"):
-        worst = 0.0
-        for i in range(0, t.size, block):
-            if stop:
-                return None, None
-            levels = None  # free the last block's arrays before the next block's: malloc reuses them
-            levels = trajectory(model, t[i : i + block])
-            worst = max(worst, float(_relative(fn, *levels)[1].max()))
-    return worst, levels
-
-
-def _split(fn: ProductionFunction, model: ExponentialModel, t, cut: int) -> float:
-    """`_blocks` of a long 1-D grid in thread blocks, those before `cut` in the caller and the rest in one worker
-    thread: the largest deviation. An exception in one part stops the other after its current block, and `_both`
-    re-raises it."""
-    stop = []
-
-    def part(t_part):
-        try:
-            return _blocks(fn, model, t_part, core._THREAD_BLOCK, stop)[0]
-        except BaseException:
-            stop.append(True)
-            raise
-
-    return max(_both(lambda: part(t[:cut]), lambda: part(t[cut:])))
-
-
 def constancy_check(
     fn: ProductionFunction, model: ExponentialModel, t_grid
 ) -> float:
@@ -285,37 +249,42 @@ def constancy_check(
     Deviations are relative to Y(t) because index levels grow and an absolute
     metric would conflate scale with error.
 
-    A nonempty 1-D grid is reduced in blocks of at most `_BLOCK` points by the
-    same arithmetic, so no temporary outgrows a block and the maximum is the
-    same float.  The blocks run with every floating-point event raised: the
-    first event, even one the caller ignores, or a `DomainError` (a block
-    leaving the range of exp) ends the blocks, and the grid is computed whole
-    by `_deviation` under the caller's `np.errstate`, giving the whole-grid
-    values, warnings and errors.  0-d and 2-D grids are computed whole.  The
-    trajectory of a one-block grid is held when its block raised nothing; the
-    next check of the same model object and grid bytes evaluates `fn` on it
-    under the caller's `np.errstate`.  A grid of at least two thread blocks
-    (`core._cut`) is split with one worker thread (`_split`), each part in
-    blocks of at most `core._THREAD_BLOCK` points.
+    A nonempty 1-D grid of at most `core._BLOCK` points is reduced in one
+    block, and a longer one by `core._blocks` in blocks of at most
+    `core._BLOCK` points, or of `core._THREAD_BLOCK` points split with one
+    worker thread on 2 CPUs or more, by the same arithmetic: no temporary
+    outgrows a block and the maximum is the same float.  The blocks run
+    with every floating-point event raised: the first event, even one the
+    caller ignores, or a `DomainError` (a block leaving the range of exp)
+    ends the blocks, and the grid is computed whole by `_deviation` under
+    the caller's `np.errstate`, giving the whole-grid values, warnings and
+    errors.  0-d and 2-D grids are computed whole.  The trajectory of a
+    one-block grid is held when its block raised nothing; the next check of
+    the same model object and grid bytes evaluates `fn` on it under the
+    caller's `np.errstate`.
     """
     global _held
     t = np.asarray(t_grid, dtype=float)
     if t.ndim == 1 and t.size:
-        grid = t.tobytes() if t.size <= _BLOCK else None
+        grid = t.tobytes() if t.size <= core._BLOCK else None
         held = _held
         if held is not None and held[0] is model and held[1] == grid:
             return float(_relative(fn, *held[2])[1].max())
-        cut = _cut(t.size) if grid is None else 0
+
+        def worst_of(s):  # a slice's deviations are freed, then its levels, before the next slice's are made
+            levels = trajectory(model, t[s])
+            return float(_relative(fn, *levels)[1].max())
+
         try:
-            if cut:
-                worst, levels = _split(fn, model, t, cut), None
-            else:
-                worst, levels = _blocks(fn, model, t, _BLOCK)
+            if grid is None:
+                return max(core._blocks(t.size, worst_of))
+            with np.errstate(all="raise"):
+                levels = trajectory(model, t)
+                worst = float(_relative(fn, *levels)[1].max())
         except (DomainError, FloatingPointError):
             pass
         else:
-            if grid is not None:
-                _held = (model, grid, levels)
+            _held = (model, grid, levels)
             return worst
     return float(_deviation(fn, model, t)[2].max())
 

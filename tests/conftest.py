@@ -24,10 +24,15 @@ def cd1928():
     return CD1928
 
 
+def on_cpus(cpus):
+    """`os.sched_getaffinity` reporting `cpus` CPUs whatever the host has: with 1 a long grid runs in the caller in
+    `core._BLOCK`-point blocks, with 2 it is split with one worker thread in `core._THREAD_BLOCK`-point blocks."""
+    return mock.patch.object(core.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)
+
+
 @contextlib.contextmanager
 def thread_blocks(block):
     """Thread blocks of `block` points, and 2 CPUs whatever the host has: grids of two blocks or more are split
     between the caller and one worker thread."""
-    with mock.patch.object(core, "_THREAD_BLOCK", block), \
-            mock.patch.object(core.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+    with mock.patch.object(core, "_THREAD_BLOCK", block), on_cpus(2):
         yield

@@ -30,7 +30,7 @@ from prodfn.cli import (
     model_from_dict,
 )
 from prodfn.invariants import _deviation
-from conftest import CD1928
+from conftest import CD1928, on_cpus
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -402,24 +402,26 @@ def test_check_without_a_table_reduces_a_long_grid_in_blocks(tmp_path, capsys):
     _, derive_out, _ = run(capsys, "derive", "--from-spec", str(spec), "--family", "ces-like")
     fn_path = tmp_path / "fn.json"
     fn_path.write_text(derive_out)
-    tracemalloc.start()
-    try:
-        code, out, err = run(
-            capsys, "check", "--model", str(spec), "--function", str(fn_path), "--grid", "0:2400:0.0025"
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, err) == (0, "")
-    report = json.loads(out)
     t = _grid(0.0, 2400.0, 0.0025)
-    assert report["grid"]["n"] == len(t) == 960_001
     fn = function_from_dict(json.loads(derive_out))
     whole = _deviation(fn, load_model_source(str(spec)), t)[2].max()
-    assert report["max_relative_deviation"] == float(whole)
-    # the grid takes 7.3 MiB, and twice that while it is built; the whole
-    # grid's deviation at once would add about 40 MiB
-    assert peak <= 24 * 2**20
+    for cpus in (1, 2):  # serial blocks, or split with one worker thread
+        tracemalloc.start()
+        try:
+            with on_cpus(cpus):
+                code, out, err = run(
+                    capsys, "check", "--model", str(spec), "--function", str(fn_path), "--grid", "0:2400:0.0025"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["grid"]["n"] == len(t) == 960_001
+        assert report["max_relative_deviation"] == float(whole)
+        # the grid takes 7.3 MiB, and twice that while it is built; the whole
+        # grid's deviation at once would add about 40 MiB
+        assert peak <= 24 * 2**20
 
 
 def test_check_perturbed_function_fails(tmp_path, capsys):

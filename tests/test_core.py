@@ -1,6 +1,9 @@
 import math
+import sys
 import threading
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from prodfn import (
 )
 from prodfn import core
 from prodfn.core import _inside_exp
-from conftest import CD1928, thread_blocks
+from conftest import CD1928, on_cpus, thread_blocks
 
 finite_rates = st.floats(min_value=-0.2, max_value=0.2, allow_nan=False)
 log_levels = st.floats(min_value=-2.0, max_value=6.0, allow_nan=False)
@@ -550,3 +553,117 @@ def test_split_trajectory_at_the_real_block_size(cd1928, at, mode):
     t[at] = -29.0  # L(t) is subnormal: an underflow in one part
     m = ExponentialModel(b1=1.0, b2=0.01, b3=0.02, ln_L0=-690.0, ln_K0=0.0, ln_Y0=0.0)
     _split_is_serial(core._THREAD_BLOCK, m, t, mode)
+
+
+# ---------------------------------------------------------------------------
+# the grid driver: which thread runs which slice, and what an exception does
+
+
+def _slices(n, cpus, block=None):
+    """core._blocks(n, work, block) on `cpus` CPUs with a work that records each slice: its results, and no thread
+    left running."""
+    caller, threads = threading.get_ident(), threading.active_count()
+
+    def work(s):
+        return s.start, s.stop, threading.get_ident() == caller, np.geterr()
+
+    with on_cpus(cpus):
+        results = core._blocks(n, work, block)
+    assert threading.active_count() == threads
+    return results
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [1, 97, 8191, 8192, 8193, 16385, 32767, 32768, 10**6])
+def test_blocks_cover_the_grid_in_order_under_raise(n, cpus):
+    results = _slices(n, cpus)
+    starts, stops = [r[0] for r in results], [r[1] for r in results]
+    assert starts == [0, *stops[:-1]] and stops[-1] == n
+    assert all(errs == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
+               for *_, errs in results)
+
+
+def test_blocks_on_one_cpu_run_block_slices_in_the_caller():
+    n = 10**6
+    with mock.patch.object(core.threading, "Thread", side_effect=AssertionError("a thread started")):
+        results = _slices(n, 1)
+    assert [(start, stop) for start, stop, _, _ in results] == [(s, min(s + core._BLOCK, n))
+                                                                  for s in range(0, n, core._BLOCK)]
+    assert all(in_caller for _, _, in_caller, _ in results)
+    assert core._BLOCK == 8192
+
+
+def test_blocks_on_two_cpus_split_thread_block_slices_at_the_cut():
+    n = 10**6
+    with on_cpus(2):
+        cut = core._cut(n)
+    results = _slices(n, 2)
+    assert cut == 31 * core._THREAD_BLOCK
+    assert [(start, stop) for start, stop, _, _ in results] == [
+        (s, min(s + core._THREAD_BLOCK, cut if s < cut else n)) for s in [*range(0, cut, core._THREAD_BLOCK),
+                                                                        *range(cut, n, core._THREAD_BLOCK)]]
+    assert [in_caller for _, _, in_caller, _ in results] == [start < cut for start, _, _, _ in results]
+    assert core._THREAD_BLOCK == 16384
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blocks_of_a_given_size_give_one_slice_per_part(cpus):
+    n = 10**6
+    results = _slices(n, cpus, n)
+    assert [(start, stop, in_caller) for start, stop, in_caller, _ in results] == (
+        [(0, 31 * 16384, True), (31 * 16384, n, False)] if cpus == 2 else [(0, n, True)])
+
+
+class _Failure(Exception):
+    pass
+
+
+def _in_run(ident):
+    """Whether thread `ident` is inside the driver's part loop: until it has left it, the other part cannot see
+    the exception it raised."""
+    frame = sys._current_frames().get(ident)
+    while frame is not None:
+        if frame.f_code.co_name == "run" and frame.f_code.co_filename == core.__file__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _gated_blocks(raising, gated):
+    """core._blocks over 8 thread blocks of 4 points on 2 CPUs. The first slice of each part in `raising` (True: the
+    caller's, False: the worker's) raises a `_Failure`. Each slice waits until the other part has begun, and each
+    slice of the `gated` part until the other part has left its loop. The exception raised, each part's `_Failure`
+    and the parts of the slices begun."""
+    caller, threads = threading.get_ident(), threading.active_count()
+    failures, idents, begun = {True: _Failure("the caller's"), False: _Failure("the worker's")}, {}, []
+
+    def work(s):
+        in_caller = threading.get_ident() == caller
+        idents[in_caller] = threading.get_ident()
+        begun.append(in_caller)
+        deadline = time.monotonic() + 10.0
+        while not idents.get(not in_caller) or in_caller == gated and _in_run(idents[not gated]):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        if in_caller in raising:
+            raise failures[in_caller]
+        return s.start
+
+    with thread_blocks(4), pytest.raises(_Failure) as info:
+        core._blocks(32, work)
+    assert threading.active_count() == threads
+    return info.value, failures, begun
+
+
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "worker"])
+def test_blocks_stop_the_other_part_after_its_current_slice(in_caller):
+    raised, failures, begun = _gated_blocks({in_caller}, not in_caller)
+    assert raised is failures[in_caller]
+    assert begun.count(in_caller) == 1 and begun.count(not in_caller) == 1  # four slices each without the exception
+
+
+@pytest.mark.parametrize("first_in_caller", [True, False], ids=["caller-first", "worker-first"])
+def test_blocks_raise_the_caller_exception_before_the_worker_one(first_in_caller):
+    raised, failures, begun = _gated_blocks({True, False}, not first_in_caller)
+    assert raised is failures[True]
+    assert begun.count(True) == 1 and begun.count(False) == 1

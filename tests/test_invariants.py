@@ -36,7 +36,7 @@ from prodfn import (
 from prodfn import core, invariants
 from prodfn.core import _inside_exp
 from prodfn.invariants import _deviation
-from conftest import CD1928, thread_blocks
+from conftest import CD1928, on_cpus, thread_blocks
 
 T_GRID = np.arange(0.0, 24.0 + 1e-9, 0.5)
 
@@ -511,7 +511,7 @@ def blocked_cases(draw):
 @settings(max_examples=400)
 def test_blocked_constancy_is_the_whole_grid_reduction(case):
     block, fn, m, t = case
-    with mock.patch.object(invariants, "_BLOCK", block):
+    with mock.patch.object(core, "_BLOCK", block):
         assert_blocked_is_whole(fn, m, t)
 
 
@@ -531,19 +531,19 @@ D2_FUNCTION = CobbDouglas(A=1e300, alpha=0.5, beta=50.0)  # overflows in evaluat
     ids=["K-early-L-late", "nan-in-last-block", "unsorted", "2-d", "d2-overflow"],
 )
 def test_blocked_constancy_edge_cases(fn, m, t, monkeypatch):
-    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_BLOCK", 7)
     assert_blocked_is_whole(fn, m, t)
 
 
 def test_blocked_constancy_names_labor_before_capital(monkeypatch):
-    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_BLOCK", 7)
     t = np.r_[np.zeros(7), -800.0, np.zeros(13), 800.0]
     with pytest.raises(DomainError, match=r"^L\(t\) overflows at t = 800.0$"):
         constancy_check(cobb_douglas_member(CD1928, 0.5), model(0.9, -1.0, 0.5), t)
 
 
 def test_blocked_constancy_warns_once_as_the_whole_grid_does(monkeypatch):
-    monkeypatch.setattr(invariants, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_BLOCK", 7)
     value, caught = _outcome(constancy_check, D2_FUNCTION, CD1928, np.linspace(0.0, 24.0, 50))
     assert value == struct.pack("<d", math.inf)
     assert caught == ["overflow encountered in multiply"]
@@ -552,7 +552,7 @@ def test_blocked_constancy_warns_once_as_the_whole_grid_does(monkeypatch):
 @pytest.mark.parametrize("fn", [fundamental_invariant_K(CD1928), cobb_douglas_member(CD1928, 0.5),
                                 ces_like_member(CD1928, 0.5), D2_FUNCTION])
 def test_blocked_constancy_at_the_real_block_size(fn):
-    t = np.linspace(0.0, 24.0, 2 * invariants._BLOCK + 1)  # two full blocks and a 1-point last block
+    t = np.linspace(0.0, 24.0, 2 * core._BLOCK + 1)  # two full blocks and a 1-point last block
     assert_blocked_is_whole(fn, CD1928, t)
 
 
@@ -560,14 +560,25 @@ def test_blocked_constancy_at_the_real_block_size(fn):
 def test_blocked_constancy_peak_memory_on_a_long_grid(derive):
     fn = derive(CD1928, 0.4)
     t = np.linspace(0.0, 24.0, 10**6)
-    tracemalloc.start()
-    try:
-        dev = constancy_check(fn, CD1928, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dev <= 1e-9
-    assert peak <= 2 * 2**20  # the whole grid at once allocates about 40 MiB
+    for cpus in (1, 2):
+        tracemalloc.start()
+        try:
+            with on_cpus(cpus):
+                dev = constancy_check(fn, CD1928, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev <= 1e-9
+        assert peak <= 2 * 2**20  # the whole grid at once allocates about 40 MiB
+
+
+def test_blocked_constancy_on_one_cpu_takes_blocks_of_the_serial_size():
+    t = np.linspace(0.0, 24.0, 10**6)
+    with on_cpus(1), mock.patch.object(invariants, "trajectory", wraps=trajectory) as traced:
+        constancy_check(cobb_douglas_member(CD1928, 0.5), CD1928, t)
+    sizes = [np.size(call.args[1]) for call in traced.call_args_list]
+    assert max(sizes) <= core._BLOCK == 8192
+    assert sizes == [8192] * (10**6 // 8192) + [10**6 % 8192]
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +702,14 @@ def test_held_trajectories_give_what_every_check_computing_its_own_gives(case):
 @given(st.sampled_from([1, 4, 7]), check_sequences())
 @settings(max_examples=300)
 def test_held_trajectories_interleave_with_blocks_and_fallbacks(block, case):
-    with mock.patch.object(invariants, "_BLOCK", block):
+    with mock.patch.object(core, "_BLOCK", block):
         test_held_trajectories_give_what_every_check_computing_its_own_gives.hypothesis.inner_test(case)
 
 
 def test_blocked_constancy_stops_at_the_first_event():
     m = model(1.0, 0.01, 0.02, l0=-740.0)  # L is subnormal at t < 32: the first block underflows
     fn = cobb_douglas_member(m, 0.5)
-    t = np.linspace(0.0, 100.0, 2 * invariants._BLOCK + 1)  # two full blocks and a 1-point last block
+    t = np.linspace(0.0, 100.0, 2 * core._BLOCK + 1)  # two full blocks and a 1-point last block
     for mode in (None, "raise", "ignore"):
         with mock.patch.object(invariants, "trajectory", wraps=trajectory) as traced:
             outcome = _held_outcome(lambda: constancy_check(fn, m, t), mode)
@@ -725,7 +736,7 @@ def _split_is_serial(check, args, block, modes=(None, "raise", "ignore")):
 @settings(max_examples=400)
 def test_split_constancy_is_the_serial_reference(case):
     block, fn, m, t = case
-    with mock.patch.object(invariants, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
+    with mock.patch.object(core, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
         _split_is_serial(constancy_check, (fn, m, t), block)
 
 
@@ -733,7 +744,7 @@ def test_split_constancy_is_the_serial_reference(case):
 @settings(max_examples=300)
 def test_held_trajectories_interleave_with_split_grids(block, case):
     fns, models, grids, steps = case
-    with mock.patch.object(invariants, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
+    with mock.patch.object(core, "_BLOCK", block), mock.patch.object(invariants, "_held", None):
         for check, f, m, g, mode, write in steps:
             t = grids[g]
             if write is not None:
@@ -777,7 +788,7 @@ def test_split_stops_the_other_part_one_block_after_an_event(event_in_caller):
         t[0 if event_in_caller else cut] = math.nan
         traced, calls = _gated_trajectory(threading.get_ident(), event_in_caller)
         threads = threading.active_count()
-        with mock.patch.object(invariants, "_BLOCK", block), \
+        with mock.patch.object(core, "_BLOCK", block), \
                 mock.patch.object(invariants, "trajectory", side_effect=traced):
             outcome = _held_outcome(lambda: constancy_check(fn, CD1928, t), None)
         assert threading.active_count() == threads
@@ -798,14 +809,14 @@ def test_split_passes_the_worker_exception_to_the_caller_unchanged():
         return evaluate(fn, L, K)
 
     threads = threading.active_count()
-    with thread_blocks(7), mock.patch.object(invariants, "_BLOCK", 7), \
+    with thread_blocks(7), mock.patch.object(core, "_BLOCK", 7), \
             mock.patch.object(invariants, "evaluate", side_effect=evaluate_here):
         with pytest.raises(TypeError) as info:
             constancy_check(cobb_douglas_member(CD1928, 0.5), CD1928, np.linspace(0.0, 24.0, 70))
     assert info.value is failure
     assert threading.active_count() == threads
     not_a_function = ("cobb-douglas", 0.5)  # every block of both parts raises evaluate's TypeError
-    with mock.patch.object(invariants, "_BLOCK", 7):
+    with mock.patch.object(core, "_BLOCK", 7):
         _split_is_serial(constancy_check, (not_a_function, CD1928, np.linspace(0.0, 24.0, 70)), 7)
 
 
@@ -822,7 +833,7 @@ def test_split_raises_the_caller_exception_before_the_worker_one():
         assert raised.wait(10)
         raise DomainError("raised in the worker's part, after the caller's")  # alone, it would send the grid whole
 
-    with thread_blocks(7), mock.patch.object(invariants, "_BLOCK", 7), \
+    with thread_blocks(7), mock.patch.object(core, "_BLOCK", 7), \
             mock.patch.object(invariants, "evaluate", side_effect=evaluate_here):
         with pytest.raises(TypeError) as info:
             constancy_check(cobb_douglas_member(CD1928, 0.5), CD1928, np.linspace(0.0, 24.0, 70))
@@ -874,7 +885,7 @@ def test_one_trajectory_per_model_and_grid():
         constancy_check(fns[0], CD1928, grid)
         assert traced.call_count == 2
         held = invariants._held
-        long_grid = np.linspace(0.0, 24.0, 2 * invariants._BLOCK + 1)
+        long_grid = np.linspace(0.0, 24.0, 2 * core._BLOCK + 1)
         constancy_check(fns[0], CD1928, long_grid)
         assert traced.call_count == 5  # three blocks, none of them held
         _deviation(fns[0], CD1928, long_grid)

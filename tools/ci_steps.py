@@ -34,9 +34,10 @@ def tier1() -> None:
 
 def baseline_simd() -> None:
     # a block must give every point the bits the whole grid gives, trajectory's two paths those of the two-formula
-    # reference, a grid split with a worker thread those of the serial code and the CSV writer's numpy blocks the
-    # bytes of `%.17g` (its log10 estimate may differ between kernels), whichever kernels numpy picks; numpy
-    # refuses to disable a baseline feature, so disable its dispatch
+    # reference, a grid split with a worker thread those of the serial code, the grid driver (`core._blocks`) its
+    # slices, errstate and exception order, and the CSV writer's numpy blocks the bytes of `%.17g` (its log10
+    # estimate may differ between kernels), whichever kernels numpy picks; numpy refuses to disable a baseline
+    # feature, so disable its dispatch
     try:
         from numpy._core import _multiarray_umath as m
         targets = " ".join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f))
@@ -47,7 +48,7 @@ def baseline_simd() -> None:
     env = {"PYTHONPATH": "src", "NPY_DISABLE_CPU_FEATURES": targets}
     _run(*PYTEST, "tests/test_invariants.py", "-k",
          "blocked_constancy or held_trajectories or one_trajectory or split", **env)
-    _run(*PYTEST, "tests/test_core.py", "-k", "trajectory", **env)
+    _run(*PYTEST, "tests/test_core.py", "-k", "trajectory or blocks", **env)
     _run(*PYTEST, "tests/test_ingest.py", "-k", "write_csv", **env)
 
 
