@@ -211,8 +211,10 @@ def diagnostics_to_dict(diag: FitDiagnostics) -> dict:
 
 
 def _read_text(path: str) -> str:
+    """The text of `path`, less a leading byte order mark.  Not "utf-8-sig": it moves a decode error's
+    position back by the mark's 3 bytes and reads a file of the mark's first one or two bytes as empty."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
 
 
 def _parse_json(path: str, text: str):

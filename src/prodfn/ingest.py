@@ -8,7 +8,8 @@ number rule: `_read_number` applies it to every number read from outside,
 CSV cells, JSON fields and command-line options alike.  A well-formed file
 named by its path is read by numpy's C text reader instead, which takes no
 `_` and no digit outside ASCII either; every other input, and every error,
-is left to one loop over the records of the `csv` reader.
+is left to one loop over the records of the `csv` reader.  Both drop a byte
+order mark before the header.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -146,8 +147,11 @@ def load_series(source, year_col: str, value_cols: Sequence[str]) -> list[TimeSe
 
 
 def _header(row, year_col, value_cols) -> tuple[list[str], list[int]]:
-    """The stripped header `row`, and the cell index of the year, then of each value column."""
+    """The stripped header `row`, less a byte order mark before its first cell (Excel's "CSV UTF-8"
+    writes one), and the cell index of the year, then of each value column."""
     header = [h.strip() for h in row]
+    if header:
+        header[0] = row[0].removeprefix("\ufeff").strip()
     for col in [year_col, *value_cols]:
         if col.strip() not in header:
             raise CsvFormatError(f"column {col!r} not found in header {header}", row=1)
@@ -268,10 +272,10 @@ def _write_csv(dest, header: Sequence[str], columns: Sequence[Sequence], first: 
         csv.writer(line).writerow(header)
         stream.write(line.getvalue()[:-2] + "\n")
         fmt = ",".join([first, *[_FLOAT_FORMAT] * (len(columns) - 1)]) + "\n"
-        tables = _tables()
+        powers = np.full((4, _S_MAX - _S_MIN + 1), np.nan)
         for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
             block = [column[start : start + _BLOCK_ROWS] for column in columns]
-            if (text := _format_rows(block, first == "%d", tables)) is not None:
+            if (text := _format_rows(block, first == "%d", powers)) is not None:
                 stream.writelines(text.splitlines(keepends=True))
                 continue
             for row in zip(*block):
@@ -283,40 +287,33 @@ def _write_csv(dest, header: Sequence[str], columns: Sequence[Sequence], first: 
 _S_MIN, _S_MAX = -270, 300  # the range of s in |x|·10**s that `_decimal` may need
 
 
-class _Tables(NamedTuple):
-    """The lookup tables of one `_write_csv` call; none is built at import."""
-
-    digits: np.ndarray  # the ASCII of 0000..9999 as uint64, the first digit in the lowest byte
-    heads: np.ndarray  # lane 0 of `_cells` by min(X, 0) + 4 + 5·negative: "-", then "0." and zeros for X < 0
-    above: np.ndarray  # above[k, i]: the bytes of lane k + 1 at or past byte i of lanes 1-3
-    point: np.ndarray  # point[k, i]: "." at byte i of lanes 1-3, if it falls in lane k + 1
-    tails: np.ndarray  # by X + 300: "e", the sign and the exponent's digits for scientific notation, else 0
-    powers: np.ndarray  # the rows of `_pow10(s)` by s - _S_MIN, NaN until a block needs them
-
-
-def _tables() -> _Tables:
-    d = np.arange(10, dtype=np.uint64) + ord("0")
-    digits = (d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16 | d << 24).ravel()
-    heads = [sign + ("0." + "0" * (-x - 1) if x < 0 else "") for sign in ("", "-") for x in range(-4, 1)]
-    x = np.arange(-300, 301)
-    exponent = digits[np.abs(x)] >> np.where(np.abs(x) < 100, 16, 8).astype(np.uint64)  # "0ddd" less 2 or 1 digits
-    sign = np.where(x < 0, ord("-"), ord("+")).astype(np.uint64)
-    return _Tables(
-        digits,
-        np.array([int.from_bytes(h.encode(), "little") for h in heads], np.uint64),
-        np.array([[~((1 << 8 * min(max(i - 8 * k, 0), 8)) - 1) % 2**64 for i in range(25)] for k in range(3)], np.uint64),
-        np.array([[ord(".") << 8 * (i - 8 * k) if 0 <= i - 8 * k < 8 else 0 for i in range(25)] for k in range(3)], np.uint64),
-        np.where((x < -4) | (x > 16), ord("e") | sign << 8 | exponent << 16, 0).astype(np.uint64),
-        np.full((4, _S_MAX - _S_MIN + 1), np.nan),
-    )
+# The lookup tables of `_cells`, built once at import and read-only:
+# _DIGITS  the ASCII of 0000..9999 as uint64, the first digit in the lowest byte
+# _HEADS   lane 0 by min(X, 0) + 4 + 5·negative: "-", then "0." and zeros for X < 0
+# _ABOVE   _ABOVE[k, i]: the bytes of lane k + 1 at or past byte i of lanes 1-3
+# _POINT   _POINT[k, i]: "." at byte i of lanes 1-3, if it falls in lane k + 1
+# _TAILS   by X + 300: "e", the sign and the exponent's digits for scientific notation, else 0
+_d = np.arange(10, dtype=np.uint64) + ord("0")
+_DIGITS = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24).ravel()
+_HEADS = np.array([int.from_bytes((sign + ("0." + "0" * (-x - 1) if x < 0 else "")).encode(), "little")
+                   for sign in ("", "-") for x in range(-4, 1)], np.uint64)
+_ABOVE = np.array([[~((1 << 8 * min(max(i - 8 * k, 0), 8)) - 1) % 2**64 for i in range(25)] for k in range(3)], np.uint64)
+_POINT = np.array([[ord(".") << 8 * (i - 8 * k) if 0 <= i - 8 * k < 8 else 0 for i in range(25)] for k in range(3)], np.uint64)
+_x = np.arange(-300, 301)
+_exponent = _DIGITS[np.abs(_x)] >> np.where(np.abs(_x) < 100, 16, 8).astype(np.uint64)  # "0ddd" less 2 or 1 digits
+_sign = np.where(_x < 0, ord("-"), ord("+")).astype(np.uint64)
+_TAILS = np.where((_x < -4) | (_x > 16), ord("e") | _sign << 8 | _exponent << 16, 0).astype(np.uint64)
+for _table in (_DIGITS, _HEADS, _ABOVE, _POINT, _TAILS):
+    _table.flags.writeable = False
+del _d, _x, _exponent, _sign, _table
 
 
-def _format_rows(columns, years: bool, tables: _Tables) -> str | None:
+def _format_rows(columns, years: bool, powers: np.ndarray) -> str | None:
     """The CSV text of the rows of `columns`, each cell byte for byte `'%.17g' % x`, or `'%d' % x`
     for the first column if `years`.  None for a block `_write_csv` prints row by row: one with no
     float column, anything but bool, int and float values, columns of unequal length, a non-finite
     value, a nonzero |x| outside (1e-280, 1e280), a year of 10**16 or more in magnitude, or a value
-    whose rounding `_decimal` cannot prove."""
+    whose rounding `_decimal` cannot prove.  `powers` is as in `_decimal`."""
     arrays = [np.arange(c.start, c.stop, c.step) if _small_range(c) else np.asarray(c) for c in columns]
     rows, cols = len(arrays[0]), len(arrays)
     if cols == years or any(a.ndim != 1 or a.dtype.kind not in "biuf" or len(a) != rows for a in arrays):
@@ -326,7 +323,7 @@ def _format_rows(columns, years: bool, tables: _Tables) -> str | None:
     x = np.empty((rows, cols - years))
     for j, a in enumerate(arrays[years:]):
         x[:, j] = a
-    if (decimal := _decimal(x.ravel(), tables.powers)) is None:
+    if (decimal := _decimal(x.ravel(), powers)) is None:
         return None
     D, X, neg = (np.empty((rows, cols), t) for t in (np.int64, np.int64, bool))
     D[:, years:], X[:, years:] = (v.reshape(rows, -1) for v in decimal)
@@ -340,7 +337,7 @@ def _format_rows(columns, years: bool, tables: _Tables) -> str | None:
         neg[:, 0] = y < 0
     sep = np.full((rows, cols), ord(",") << 56, np.uint64)
     sep[:, -1] = ord("\n") << 56
-    return _cells(D.ravel(), X.ravel(), neg.ravel(), sep.ravel(), tables)
+    return _cells(D.ravel(), X.ravel(), neg.ravel(), sep.ravel())
 
 
 def _small_range(column) -> bool:
@@ -352,7 +349,8 @@ def _small_range(column) -> bool:
 def _decimal(x: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(D, X) with |x| = D·10**(X - 16) rounded half to even to 17 digits, D in [10**16, 10**17)
     or 0 for a zero; None if any |x| is nonzero outside (1e-280, 1e280), a NaN included, or any
-    rounding falls within 2**-30 of a half without being an exact tie.  `powers` is `_Tables.powers`.
+    rounding falls within 2**-30 of a half without being an exact tie.  `powers` caches the rows of
+    `_pow10(s)` by s - _S_MIN: NaN until a block needs them, filled here, one array per `_write_csv` call.
 
     The exponent is first estimated by `log10` and corrected where the 17-digit integer falls
     outside [10**16, 10**17).  |x|·10**s is then floor(|x|·hi + |x|·lo) for a double-double
@@ -424,16 +422,16 @@ def _exponent_step(D: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (top < 10**16).astype(np.int64) - (top >= 10**17)
 
 
-def _ascii8(v: np.ndarray, digits: np.ndarray) -> np.ndarray:
+def _ascii8(v: np.ndarray) -> np.ndarray:
     """The 8 ASCII digits of each v < 10**8 as uint64, the first in the lowest byte."""
     h = v // 10**4
-    return digits[h] | digits[v - h * 10**4] << 32
+    return _DIGITS[h] | _DIGITS[v - h * 10**4] << 32
 
 
 _ZEROS = 0x3030303030303030  # "00000000"
 
 
-def _cells(D: np.ndarray, X: np.ndarray, neg: np.ndarray, sep: np.ndarray, tables: _Tables) -> str:
+def _cells(D: np.ndarray, X: np.ndarray, neg: np.ndarray, sep: np.ndarray) -> str:
     """The text of the cells ±D[i]·10**(X[i] - 16) as `%.17g` prints them, each followed by sep[i],
     a byte in the top byte of a uint64; C's `%g` rules: scientific notation for X < -4 or X >= 17,
     trailing zeros and a bare "." dropped, an exponent of at least 2 digits.
@@ -450,7 +448,7 @@ def _cells(D: np.ndarray, X: np.ndarray, neg: np.ndarray, sep: np.ndarray, table
     rest = D - top * 10**9
     mid = rest // 10
     last = (rest - mid * 10).astype(np.uint64)
-    lanes = [_ascii8(top, tables.digits), _ascii8(mid, tables.digits), last + ord("0")]
+    lanes = [_ascii8(top), _ascii8(mid), last + ord("0")]
     # significant digits: a lane of digit values keeps bits 4-7 of each byte clear, so its float
     # conversion cannot round up to the next power of two, and frexp's exponent is its bit length
     nbytes = [(np.frexp(lane - _ZEROS)[1] + 7) // 8 for lane in lanes[:2]]
@@ -459,13 +457,13 @@ def _cells(D: np.ndarray, X: np.ndarray, neg: np.ndarray, sep: np.ndarray, table
     head = bool((lead != 4).any())
     out = np.empty((len(D), 3 + head), "<u8")
     if head:
-        out[:, 0] = tables.heads[lead]
+        out[:, 0] = _HEADS[lead]
     dot = np.where(Xf >= 0, Xf + 1, 24)  # past the digits: the "." of a fixed-notation X < 0 is in lane 0
     length = np.where(Xf >= 0, np.where(nd > Xf + 1, nd + 1, Xf + 1), nd)
     moved = 0  # the bytes of the previous lane past the "."
     for k, lane in enumerate(lanes):  # lane + high·255: the bytes below the "." stay, the rest move up one
-        high = lane & tables.above[k][dot]
-        out[:, head + k] = (lane + high * 255 | moved >> 56 | tables.point[k][dot]) & ~tables.above[k][length]
+        high = lane & _ABOVE[k][dot]
+        out[:, head + k] = (lane + high * 255 | moved >> 56 | _POINT[k][dot]) & ~_ABOVE[k][length]
         moved = high
-    out[:, -1] |= tables.tails[X + 300] << 16 | sep
+    out[:, -1] |= _TAILS[X + 300] << 16 | sep
     return out.tobytes().translate(None, b"\0").decode("ascii")

@@ -128,6 +128,7 @@ class _Token(NamedTuple):
     text: str
     line: int
     col: int
+    pos: int  # offset in the text; the eof token's is len(text)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -145,11 +146,11 @@ def _tokenize(text: str) -> list[_Token]:
                 line += newlines
                 line_start = pos + lexeme.rindex("\n") + 1
         elif kind != "comment":
-            tokens.append(_Token(lexeme if kind == "sym" else kind, lexeme, line, pos - line_start + 1))
+            tokens.append(_Token(lexeme if kind == "sym" else kind, lexeme, line, pos - line_start + 1, pos))
         pos = m.end()
     if pos != len(text):
         raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1, len(text)))
     return tokens
 
 
@@ -163,15 +164,11 @@ _FORMS = {
 }
 
 
-def _at(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset `pos`, counted as `_tokenize` counts them."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
 def _error(cls: type[ModelSpecError], message: str, text: str, pos: int) -> ModelSpecError:
-    """`cls` at offset `pos`, unless a lexical error anywhere in the text comes first."""
-    _tokenize(text)
-    return cls(message, *_at(text, pos))
+    """`cls` at the line and column of the token at offset `pos`, unless a lexical error anywhere
+    in the text comes first.  Every caller passes a token's start, and only `_tokenize` counts lines."""
+    tok = next(tok for tok in _tokenize(text) if tok.pos >= pos)
+    return cls(message, tok.line, tok.col)
 
 
 def _syntax_error(text: str, pos: int) -> ModelSyntaxError:
@@ -181,8 +178,7 @@ def _syntax_error(text: str, pos: int) -> ModelSyntaxError:
     so a statement it rejects always has such a token.
     """
     tokens = _tokenize(text)
-    at = _at(text, pos)
-    i = next(i for i, tok in enumerate(tokens) if (tok.line, tok.col) >= at)
+    i = next(i for i, tok in enumerate(tokens) if tok.pos >= pos)
     head = tokens[i]
     if head.text in ("var", "role"):
         form = _FORMS[head.text]

@@ -362,6 +362,30 @@ def test_a_leading_brace_or_bracket_alone_means_json(text, error, message, tmp_p
     assert (type(ei.value).__name__, str(ei.value)) == (error, message.format(path=path))
 
 
+@pytest.mark.parametrize("source", sorted(MODEL_SOURCES))
+def test_a_byte_order_mark_before_a_model_is_dropped(source, tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(MODEL_SOURCES[source], encoding="utf-8")
+    marked.write_text("\ufeff" + MODEL_SOURCES[source], encoding="utf-8")
+    assert load_model_source(str(marked)) == load_model_source(str(plain))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xef\xbb\xbfvar \xe9", "'utf-8' codec can't decode byte 0xe9 in position 7: unexpected end of data"),
+        (b"\xef\xbb", "'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
+    ],
+    ids=["after-a-mark", "part-of-a-mark"],
+)
+def test_a_decode_error_names_its_byte_in_the_file(data, message, tmp_path):
+    path = tmp_path / "model"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as ei:
+        load_model_source(str(path))
+    assert str(ei.value) == message
+
+
 # ---------------------------------------------------------------------------
 # check
 

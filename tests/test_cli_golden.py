@@ -136,6 +136,8 @@ INPUTS = {
     "two.csv": "year,L,K\n1899,106.65,100.7\n1900,109.1,107.43\n1901,111.9,114.62\n",
     "quoted.csv": 'year,"L,1",K\n1899,106.65,100.7\n1900,109.1,107.43\n',
 }
+# a byte order mark first, as Excel's "CSV UTF-8" writes it: numpy's reader, the record loop, then JSON
+INPUTS |= {f"bom_{name}": "\ufeff" + INPUTS[name] for name in ("data.csv", "quoted.csv", "fit.json")}
 
 FIT = "fit --year-col year --labor-col L --capital-col K --output-col Y --csv {dir}/"
 TABLE = " --table {dir}/out.csv"
@@ -147,6 +149,7 @@ CASES = [
     ("fit_missing_file", FIT + "nope.csv"),
     ("fit_quoted_header", FIT + "quoted_header_fit.csv"),
     ("fit_first_of_two_faults", FIT + "two_faults.csv"),
+    ("fit_byte_order_mark", FIT + "bom_data.csv"),
     ("derive_spec_fundamental", "derive --from-spec {dir}/m.txt --family fundamental"),
     ("derive_spec_cobb_douglas", "derive --from-spec {dir}/m.txt --family cobb-douglas"),
     ("derive_spec_ces_like", "derive --from-spec {dir}/m.txt --family ces-like"),
@@ -172,6 +175,7 @@ CASES = [
     ("derive_bare_ces_like", "derive --from-fit {dir}/bare.json --family ces-like"),
     ("derive_horizon_nan", "derive --from-spec {dir}/m.txt --family cobb-douglas --horizon nan"),
     ("derive_horizon_inf", "derive --from-spec {dir}/m.txt --family cobb-douglas --horizon inf"),
+    ("derive_fit_byte_order_mark", "derive --from-fit {dir}/bom_fit.json --family cobb-douglas"),
     ("derive_fit_not_json", "derive --from-fit {dir}/notjson.txt --family cobb-douglas"),
     ("derive_fit_bad_model", "derive --from-fit {dir}/badmodel.json --family cobb-douglas"),
     ("derive_fit_too_many_digits", "derive --from-fit {dir}/digits.json --family cobb-douglas"),
@@ -224,6 +228,7 @@ CASES = [
     ("export_normalize_out", "export --csv {dir}/two.csv --year-col year --value-col K --normalize --out {dir}/out.csv"),
     ("export_same_column_twice", "export --csv {dir}/two.csv --year-col year --value-col L --value-col L"),
     ("export_quoted_header", "export --csv {dir}/quoted.csv --year-col year --value-col L,1 --value-col K --out {dir}/out.csv"),
+    ("export_byte_order_mark", "export --csv {dir}/bom_quoted.csv --year-col year --value-col L,1 --value-col K"),
 ]
 
 

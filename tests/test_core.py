@@ -237,6 +237,7 @@ def test_model_requires_finite_fields():
 
 def test_initial_level_accessors(cd1928):
     assert cd1928.L0 == math.exp(cd1928.ln_L0)
+    assert cd1928.K0 == math.exp(cd1928.ln_K0)
     assert cd1928.Y0 > 0
 
 

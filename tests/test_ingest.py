@@ -451,6 +451,17 @@ def test_a_well_formed_file_never_reaches_the_record_loop(text, tmp_path):
     assert got == load_series(io.BytesIO(text.encode("utf-8")), "year", ["L", "K", "L"])
 
 
+@pytest.mark.parametrize(
+    "text", ["year,L,K\n1899,1.5,2\n1900,3,4\n", 'year,"L",K\n1899,1.5,2\n1900,3,4\n'], ids=["numpy", "record-loop"]
+)
+def test_a_byte_order_mark_before_the_header_is_dropped(text, tmp_path):
+    path = tmp_path / "marked.csv"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    want = load_series(io.StringIO(text), "year", ["L", "K"])
+    for source in (path, io.BytesIO(path.read_bytes()), io.StringIO("\ufeff" + text)):
+        assert load_series(source, "year", ["L", "K"]) == want
+
+
 def test_the_field_limit_is_read_when_the_file_is(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("year,L,K\n1899,1,123456789\n")
@@ -713,10 +724,10 @@ def test_write_csv_matches_format_17g_on_random_bit_patterns():
 
 
 def test_write_csv_leaves_an_unproven_half_to_the_per_row_loop():
-    tables = ingest._tables()
+    powers = np.full((4, ingest._S_MAX - ingest._S_MIN + 1), np.nan)
     # an exact tie where 10**6 is a double goes the block path; 10**23 is none, so 3·2**-24 does not
-    assert ingest._format_rows([(12374637281.4296875,)], False, tables) == "12374637281.429688\n"
-    assert ingest._format_rows([(3 * 2**-24,)], False, tables) is None
+    assert ingest._format_rows([(12374637281.4296875,)], False, powers) == "12374637281.429688\n"
+    assert ingest._format_rows([(3 * 2**-24,)], False, powers) is None
     buf = io.StringIO()
     ingest._write_csv(buf, ("a",), [(3 * 2**-24,)])
     assert buf.getvalue() == "a\n1.7881393432617188e-07\n"

@@ -265,6 +265,14 @@ def test_ces_like_degenerate_rates():
             ces_like_member(bad, 0.5)
 
 
+def test_ces_like_coefficients_out_of_the_float_range():
+    # ln_Y0/b3 overflows to inf: exp gives inf for a positive b3, and 0 for a negative one
+    with pytest.raises(DomainError, match=r"^CES-like coefficients overflow for this model "):
+        ces_like_member(ExponentialModel(b1=0.02, b2=0.06, b3=1e-307, ln_L0=4, ln_K0=4, ln_Y0=700), 0.5)
+    with pytest.raises(DomainError, match=r"^GeneralizedCES\.cK must be positive, got 0\.0$"):
+        ces_like_member(ExponentialModel(b1=0.02, b2=0.06, b3=-1e-307, ln_L0=4, ln_K0=4, ln_Y0=700), 0.5)
+
+
 @given(m=models, alpha=shares)
 @settings(max_examples=200)
 def test_ces_like_swap_symmetry(m, alpha):
